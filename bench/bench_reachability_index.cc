@@ -97,151 +97,21 @@ double MeasureScoreOnlyNanos(const mel::reach::WeightedReachability& index,
   return nanos / w.sources.size();
 }
 
-// Pre-overhaul baseline for the A/B: the label layout and materializing
-// query path the arena refactor replaced — one heap vector per node per
-// side, one heap vector per out-label for its followees, and a query
-// that unions min-distance followee sets by concat + sort +
-// std::unique. Rebuilt from the arena index so both sides answer from
-// byte-identical label content.
-struct LegacyTwoHop {
-  struct InLabel {
-    mel::graph::NodeId node;
-    uint32_t dist;
-  };
-  struct OutLabel {
-    mel::graph::NodeId node;
-    uint32_t dist;
-    std::vector<mel::graph::NodeId> followees;
-  };
-  std::vector<std::vector<InLabel>> in;
-  std::vector<std::vector<OutLabel>> out;
-  const mel::graph::DirectedGraph* g = nullptr;
-  uint32_t max_hops = 0;
-
-  static LegacyTwoHop FromArena(const mel::reach::TwoHopIndex& index,
-                                const mel::graph::DirectedGraph& graph,
-                                uint32_t max_hops) {
-    LegacyTwoHop legacy;
-    legacy.g = &graph;
-    legacy.max_hops = max_hops;
-    const uint32_t n = graph.num_nodes();
-    legacy.in.resize(n);
-    legacy.out.resize(n);
-    for (uint32_t v = 0; v < n; ++v) {
-      for (const auto& il : index.in_labels(v)) {
-        legacy.in[v].push_back(InLabel{il.node, il.dist});
-      }
-      const uint64_t base = index.out_offset(v);
-      const auto outs = index.out_labels(v);
-      for (size_t i = 0; i < outs.size(); ++i) {
-        const auto span = index.followees(base + i);
-        legacy.out[v].push_back(OutLabel{
-            outs[i].node, outs[i].dist,
-            std::vector<mel::graph::NodeId>(span.begin(), span.end())});
-      }
-    }
-    return legacy;
-  }
-
-  mel::reach::ReachQueryResult Query(mel::graph::NodeId u,
-                                     mel::graph::NodeId v) const {
-    constexpr uint32_t kInf = mel::reach::kUnreachableDistance;
-    mel::reach::ReachQueryResult result;
-    if (u == v) {
-      result.distance = 0;
-      return result;
-    }
-    const auto& outs = out[u];
-    const auto& ins = in[v];
-    uint32_t dmin = kInf;
-    {
-      size_t i = 0, j = 0;
-      while (i < outs.size() && j < ins.size()) {
-        if (outs[i].node < ins[j].node) {
-          ++i;
-        } else if (outs[i].node > ins[j].node) {
-          ++j;
-        } else {
-          dmin = std::min(dmin, outs[i].dist + ins[j].dist);
-          ++i;
-          ++j;
-        }
-      }
-    }
-    for (const OutLabel& ol : outs) {
-      if (ol.node == v) dmin = std::min(dmin, ol.dist);
-    }
-    for (const InLabel& il : ins) {
-      if (il.node == u) dmin = std::min(dmin, il.dist);
-    }
-    if (dmin == kInf || dmin > max_hops) return result;
-    result.distance = dmin;
-    {
-      size_t i = 0, j = 0;
-      while (i < outs.size() && j < ins.size()) {
-        if (outs[i].node < ins[j].node) {
-          ++i;
-        } else if (outs[i].node > ins[j].node) {
-          ++j;
-        } else {
-          if (outs[i].dist + ins[j].dist == dmin) {
-            result.followees.insert(result.followees.end(),
-                                    outs[i].followees.begin(),
-                                    outs[i].followees.end());
-          }
-          ++i;
-          ++j;
-        }
-      }
-    }
-    for (const OutLabel& ol : outs) {
-      if (ol.node == v && ol.dist == dmin) {
-        result.followees.insert(result.followees.end(),
-                                ol.followees.begin(), ol.followees.end());
-      }
-    }
-    std::sort(result.followees.begin(), result.followees.end());
-    result.followees.erase(
-        std::unique(result.followees.begin(), result.followees.end()),
-        result.followees.end());
-    return result;
-  }
-
-  double Score(mel::graph::NodeId u, mel::graph::NodeId v) const {
-    return mel::reach::WeightedScore(Query(u, v), g->OutDegree(u), u == v);
-  }
-};
-
-double MeasureLegacyScoreNanos(const LegacyTwoHop& legacy,
-                               const QueryWorkload& w) {
-  mel::WallTimer timer;
-  double sink = 0;
-  for (size_t i = 0; i < w.sources.size(); ++i) {
-    sink += legacy.Score(w.sources[i], w.targets[i]);
-  }
-  double nanos = static_cast<double>(timer.ElapsedNanos());
-  if (sink < -1) std::printf("impossible %f", sink);
-  return nanos / w.sources.size();
-}
-
-struct ArenaAbResult {
+struct ScorePathResult {
   uint32_t users = 0;
   size_t queries = 0;
-  double legacy_score_ns = 0;
   double arena_score_ns = 0;
   double score_only_ns = 0;
   uint64_t arena_bytes = 0;
-  uint64_t legacy_bytes = 0;
 };
 
-// Arena layout + count-only fast path A/B on the 2-hop cover: legacy
-// (vector-of-vectors) vs arena index bytes, and the legacy materializing
-// Score vs arena Score vs arena ScoreOnly query latencies. Results go
-// to bench.reach.* gauges in the metrics sidecar and, via the returned
+// Count-only fast path A/B on the 2-hop cover: materializing Score vs
+// ScoreOnly query latencies, plus the arena index bytes. Results go to
+// bench.reach.* gauges in the metrics sidecar and, via the returned
 // struct, to the BENCH_reach.json trajectory sidecar; scripts/verify.sh
 // runs this section alone via --smoke.
-ArenaAbResult RunArenaAb(uint32_t users, size_t queries,
-                         mel::util::ThreadPool* pool) {
+ScorePathResult RunScorePathAb(uint32_t users, size_t queries,
+                               mel::util::ThreadPool* pool) {
   using namespace mel;
   gen::SocialGenOptions sopts;
   sopts.num_users = users;
@@ -249,89 +119,54 @@ ArenaAbResult RunArenaAb(uint32_t users, size_t queries,
   sopts.seed = 5;
   auto social = gen::GenerateSocialGraph(sopts);
   auto two_hop = reach::TwoHopIndex::Build(&social.graph, 5, pool);
-  auto legacy = LegacyTwoHop::FromArena(two_hop, social.graph, 5);
   auto workload = MakeWorkload(users, queries, 99);
-
-  // The baseline must agree with the arena paths bitwise, or the A/B is
-  // comparing different answers.
-  for (size_t i = 0; i < std::min<size_t>(workload.sources.size(), 2000);
-       ++i) {
-    const auto u = workload.sources[i];
-    const auto v = workload.targets[i];
-    if (legacy.Score(u, v) != two_hop.Score(u, v) ||
-        legacy.Score(u, v) != two_hop.ScoreOnly(u, v)) {
-      std::fprintf(stderr, "A/B mismatch at pair (%u, %u)\n", u, v);
-      std::abort();
-    }
-  }
 
   // Warm-up pass so all measurements see hot caches and sized
   // thread-local scratch.
   MeasureQueryNanos(two_hop, workload);
-  const double legacy_score_ns = MeasureLegacyScoreNanos(legacy, workload);
   const double arena_score_ns = MeasureQueryNanos(two_hop, workload);
   const double score_only_ns = MeasureScoreOnlyNanos(two_hop, workload);
-
   const uint64_t arena_bytes = two_hop.IndexSizeBytes();
-  const uint64_t legacy_bytes = two_hop.LegacyIndexSizeBytes();
 
   std::printf(
-      "\n=== Arena layout + count-only path (2-hop, %u users, %zu queries) "
-      "===\n",
-      users, queries);
-  std::printf(
-      "index bytes    : legacy %s -> arena %s (%.1f%% smaller)\n",
-      HumanBytes(legacy_bytes).c_str(), HumanBytes(arena_bytes).c_str(),
-      100.0 * (1.0 - static_cast<double>(arena_bytes) /
-                         static_cast<double>(legacy_bytes)));
-  std::printf(
-      "materializing  : legacy Score %s -> arena Score %s (%.2fx)\n",
-      HumanNanos(legacy_score_ns).c_str(),
-      HumanNanos(arena_score_ns).c_str(), legacy_score_ns / arena_score_ns);
-  std::printf(
-      "count-only     : ScoreOnly %s (%.2fx vs legacy materializing, "
-      "%.2fx vs arena Score)\n",
-      HumanNanos(score_only_ns).c_str(), legacy_score_ns / score_only_ns,
-      arena_score_ns / score_only_ns);
+      "\n=== Count-only path (2-hop, %u users, %zu queries) ===\n", users,
+      queries);
+  std::printf("index bytes    : %s\n", HumanBytes(arena_bytes).c_str());
+  std::printf("Score          : %s\n", HumanNanos(arena_score_ns).c_str());
+  std::printf("ScoreOnly      : %s (%.2fx vs Score)\n",
+              HumanNanos(score_only_ns).c_str(),
+              arena_score_ns / score_only_ns);
 
   auto& reg = metrics::Registry();
-  reg.GetGauge("bench.reach.score_ns")
-      ->Set(static_cast<int64_t>(legacy_score_ns));
   reg.GetGauge("bench.reach.arena_score_ns")
       ->Set(static_cast<int64_t>(arena_score_ns));
   reg.GetGauge("bench.reach.score_only_ns")
       ->Set(static_cast<int64_t>(score_only_ns));
   reg.GetGauge("bench.reach.arena_index_bytes")
       ->Set(static_cast<int64_t>(arena_bytes));
-  reg.GetGauge("bench.reach.legacy_index_bytes")
-      ->Set(static_cast<int64_t>(legacy_bytes));
 
-  ArenaAbResult result;
+  ScorePathResult result;
   result.users = users;
   result.queries = queries;
-  result.legacy_score_ns = legacy_score_ns;
   result.arena_score_ns = arena_score_ns;
   result.score_only_ns = score_only_ns;
   result.arena_bytes = arena_bytes;
-  result.legacy_bytes = legacy_bytes;
   return result;
 }
 
-// Per-PR trajectory sidecar (schema v1; keys checked by verify.sh).
-void WriteReachSidecar(const ArenaAbResult& ab, bool smoke) {
+// Per-PR trajectory sidecar (schema v2; keys checked by verify.sh).
+void WriteReachSidecar(const ScorePathResult& ab, bool smoke) {
   std::ofstream sidecar("BENCH_reach.json");
   mel::JsonWriter w(&sidecar);
   w.BeginObject();
   w.KeyValue("bench", std::string_view("reach"));
-  w.KeyValue("schema_version", uint64_t{1});
+  w.KeyValue("schema_version", uint64_t{2});
   w.KeyValue("mode", std::string_view(smoke ? "smoke" : "full"));
   w.KeyValue("users", uint64_t{ab.users});
   w.KeyValue("queries", uint64_t{ab.queries});
-  w.KeyValue("legacy_score_ns", ab.legacy_score_ns);
   w.KeyValue("arena_score_ns", ab.arena_score_ns);
   w.KeyValue("score_only_ns", ab.score_only_ns);
   w.KeyValue("arena_index_bytes", ab.arena_bytes);
-  w.KeyValue("legacy_index_bytes", ab.legacy_bytes);
   w.EndObject();
   sidecar << "\n";
   std::printf("trajectory written to BENCH_reach.json\n");
@@ -358,8 +193,8 @@ int main(int argc, char** argv) {
 
   const char* metrics_path = "bench_reachability_index.metrics.json";
   if (smoke) {
-    // CI-sized run: just the arena/count-only A/B, small graph.
-    const auto ab = RunArenaAb(/*users=*/800, /*queries=*/40000, &pool);
+    // CI-sized run: just the count-only A/B, small graph.
+    const auto ab = RunScorePathAb(/*users=*/800, /*queries=*/40000, &pool);
     WriteReachSidecar(ab, /*smoke=*/true);
     if (mel::metrics::WriteJsonFile(metrics_path).ok()) {
       std::printf("metrics JSON written to %s\n", metrics_path);
@@ -503,7 +338,8 @@ int main(int argc, char** argv) {
         base_ns / cached_ns, cached.ApproxEntries());
   }
 
-  const auto ab = RunArenaAb(/*users=*/4000, /*queries=*/kQueries, &pool);
+  const auto ab =
+      RunScorePathAb(/*users=*/4000, /*queries=*/kQueries, &pool);
   WriteReachSidecar(ab, /*smoke=*/false);
 
   if (mel::metrics::WriteJsonFile(metrics_path).ok()) {

@@ -1,25 +1,24 @@
-// Scheduler A/B: the legacy shared-cursor chunk-pull ParallelFor vs the
-// work-stealing executor (per-thread Chase-Lev deques, contiguous initial
-// slices, half-range steals, socket-aware victims — see
-// docs/PERFORMANCE.md), on three workloads:
+// Scheduler scaling check: the chunk-pull ParallelFor at 1 thread vs the
+// pool's full width, on three workloads:
 //
-//   1. skewed synthetic — per-item cost follows a shuffled power law
-//      (a few hub-sized items, a long light tail), executed at grain 1.
-//      This is the regime the paper's index builds live in: power-law
-//      degree distributions force fine grains, and the chunk-pull
-//      scheduler then serializes every chunk on one hot cursor line
-//      while the tail leaves cores idle. The speedup floor (>= 1.25x at
-//      >= 4 hardware threads, full mode only) is asserted here.
-//   2. uniform synthetic — equal-cost items at a comfortable grain, as a
-//      regression guard: work-stealing must not lose what chunk-pull
-//      already handled well (floor 0.90x, same gating).
+//   1. uniform synthetic — equal-cost items at grain 64, the regime the
+//      shared cursor handles best. Its scaling floor (>= 1.2x on the
+//      median, full mode on >= 4 hardware threads) is asserted: a pool
+//      that cannot speed up embarrassingly parallel work is broken.
+//   2. skewed synthetic — per-item cost follows a shuffled power law
+//      (a few hub-sized items, a long light tail), executed at grain 1,
+//      as the paper's index builds see on power-law degree
+//      distributions. Report-only.
 //   3. the real 2-hop label build on a generated social graph
-//      (power-law follower distribution), reported for trajectory
-//      tracking (no assert: build times on small graphs are noisy).
+//      (power-law follower distribution). Report-only.
+//
+// Each configuration runs kReps times, 1-thread and N-thread runs
+// interleaved so drift hits both sides alike; scaling is the ratio of
+// the medians, and min/max bracket the spread.
 //
 // Writes two sidecars:
 //   bench_scheduler.metrics.json — full registry export (as every bench)
-//   BENCH_scheduler.json         — trajectory summary (schema v1; keys
+//   BENCH_scheduler.json         — trajectory summary (schema v2; keys
 //                                  checked by scripts/verify.sh)
 //
 // Run:   ./bench/bench_scheduler [--smoke] [--threads N]
@@ -29,6 +28,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +43,8 @@
 namespace {
 
 using namespace mel;
+
+constexpr int kReps = 5;
 
 // Cheap deterministic per-item busy work; the result is stored so the
 // compiler cannot elide the loop.
@@ -59,7 +61,6 @@ inline uint64_t SpinWork(uint64_t seed, uint32_t units) {
 struct Workload {
   std::vector<uint32_t> units;  // per-item cost
   size_t grain = 1;
-  const char* name = "";
 };
 
 // Power-law item costs, deterministically shuffled so heavy items are
@@ -69,7 +70,6 @@ struct Workload {
 // vertices rather than free iterations whose cost is pure dispatch.
 Workload MakeSkewedWorkload(size_t count) {
   Workload w;
-  w.name = "skewed";
   w.grain = 1;
   w.units.resize(count);
   for (size_t i = 0; i < count; ++i) {
@@ -81,44 +81,81 @@ Workload MakeSkewedWorkload(size_t count) {
 
 Workload MakeUniformWorkload(size_t count) {
   Workload w;
-  w.name = "uniform";
   w.grain = 64;
   w.units.assign(count, 12);
   return w;
 }
 
-// Best-of-reps wall time for one (pool, workload) pair.
-double MeasureMillis(util::ThreadPool& pool, const Workload& w,
-                     std::vector<uint64_t>& out, int reps) {
-  double best_ms = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer timer;
+/// Wall times of one configuration, in milliseconds.
+struct Timings {
+  std::vector<double> ms;
+
+  double Median() const {
+    std::vector<double> sorted = ms;
+    std::sort(sorted.begin(), sorted.end());
+    const size_t n = sorted.size();
+    return n % 2 == 1 ? sorted[n / 2]
+                      : (sorted[n / 2 - 1] + sorted[n / 2]) / 2;
+  }
+  double Min() const { return *std::min_element(ms.begin(), ms.end()); }
+  double Max() const { return *std::max_element(ms.begin(), ms.end()); }
+};
+
+/// One workload timed on the serial and the wide pool.
+struct Scaling {
+  Timings serial;
+  Timings wide;
+  double ratio() const { return serial.Median() / wide.Median(); }
+};
+
+// Runs `run(pool)` once per pool to warm it (thread wakeup, page
+// faults), then kReps times per pool, alternating pools.
+Scaling Measure(util::ThreadPool& serial, util::ThreadPool& wide,
+                const std::function<void(util::ThreadPool&)>& run) {
+  run(serial);
+  run(wide);
+  Scaling s;
+  for (int r = 0; r < kReps; ++r) {
+    for (util::ThreadPool* pool : {&serial, &wide}) {
+      WallTimer timer;
+      run(*pool);
+      (pool == &serial ? s.serial : s.wide)
+          .ms.push_back(timer.ElapsedMillis());
+    }
+  }
+  return s;
+}
+
+Scaling MeasureSynthetic(util::ThreadPool& serial, util::ThreadPool& wide,
+                         const Workload& w) {
+  std::vector<uint64_t> out(w.units.size());
+  Scaling s = Measure(serial, wide, [&](util::ThreadPool& pool) {
     pool.ParallelFor(0, w.units.size(), w.grain, [&](size_t i) {
       out[i] = SpinWork(i, w.units[i]);
     });
-    best_ms = std::min(best_ms, timer.ElapsedMillis());
-  }
+  });
   // Fold the outputs into a checksum so the work is observable.
   uint64_t checksum = 0;
   for (uint64_t v : out) checksum ^= v;
   if (checksum == 42) std::printf("(unlikely checksum)\n");
-  return best_ms;
+  return s;
 }
 
-double MeasureTwoHopBuildMillis(const graph::DirectedGraph* g,
-                                util::ThreadPool& pool, int reps) {
-  double best_ms = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer timer;
-    auto index = reach::TwoHopIndex::Build(g, 5, &pool);
-    best_ms = std::min(best_ms, timer.ElapsedMillis());
-    if (index.IndexSizeBytes() == 0) std::printf("(empty index)\n");
-  }
-  return best_ms;
+void PrintRow(const char* name, const Scaling& s) {
+  std::printf("%-20s %8.2fms [%7.2f, %7.2f] %8.2fms [%7.2f, %7.2f] %7.2fx\n",
+              name, s.serial.Median(), s.serial.Min(), s.serial.Max(),
+              s.wide.Median(), s.wide.Min(), s.wide.Max(), s.ratio());
 }
 
-uint64_t CounterValue(const char* name) {
-  return metrics::Registry().GetCounter(name)->Value();
+void WriteScaling(JsonWriter& w, const std::string& prefix,
+                  const Scaling& s) {
+  w.KeyValue(prefix + "_serial_ms", s.serial.Median());
+  w.KeyValue(prefix + "_serial_min_ms", s.serial.Min());
+  w.KeyValue(prefix + "_serial_max_ms", s.serial.Max());
+  w.KeyValue(prefix + "_wide_ms", s.wide.Median());
+  w.KeyValue(prefix + "_wide_min_ms", s.wide.Min());
+  w.KeyValue(prefix + "_wide_max_ms", s.wide.Max());
+  w.KeyValue(prefix + "_scaling", s.ratio());
 }
 
 }  // namespace
@@ -136,94 +173,59 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-  if (threads == 0) threads = std::max(4u, hw);
-  const int reps = smoke ? 2 : 3;
   const size_t skew_items = smoke ? (1u << 15) : (1u << 17);
   const size_t uniform_items = smoke ? (1u << 16) : (1u << 18);
   const uint32_t graph_users = smoke ? 600 : 1500;
 
-  util::ThreadPool::Options chunk_opts;
-  chunk_opts.num_threads = threads;
-  chunk_opts.scheduler = util::SchedulerKind::kChunkPull;
-  util::ThreadPool::Options steal_opts;
-  steal_opts.num_threads = threads;
-  steal_opts.scheduler = util::SchedulerKind::kWorkStealing;
-  util::ThreadPool chunk_pool(chunk_opts);
-  util::ThreadPool steal_pool(steal_opts);
+  util::ThreadPool serial_pool(1);
+  util::ThreadPool wide_pool(threads);  // 0 = hardware width
+  threads = wide_pool.num_threads();
+  const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
 
-  std::printf("=== scheduler A/B: chunk-pull vs work-stealing ===\n");
-  std::printf("threads=%u (hardware %u), sockets=%u%s, mode=%s\n", threads,
-              hw, steal_pool.num_sockets(),
-              steal_pool.pinned() ? " pinned" : "", smoke ? "smoke" : "full");
+  std::printf("=== scheduler scaling: chunk-pull, 1 vs %u threads ===\n",
+              threads);
+  std::printf("hardware threads=%u, reps=%d, mode=%s\n", hw, kReps,
+              smoke ? "smoke" : "full");
 
-  // ---- Phase 1+2: synthetic workloads -----------------------------
-  const Workload skewed = MakeSkewedWorkload(skew_items);
-  const Workload uniform = MakeUniformWorkload(uniform_items);
-  std::vector<uint64_t> out(std::max(skew_items, uniform_items));
+  const Scaling uniform = MeasureSynthetic(
+      serial_pool, wide_pool, MakeUniformWorkload(uniform_items));
+  const Scaling skewed = MeasureSynthetic(serial_pool, wide_pool,
+                                          MakeSkewedWorkload(skew_items));
 
-  // Warm both pools (first regions pay thread wakeup + page faults).
-  MeasureMillis(chunk_pool, uniform, out, 1);
-  MeasureMillis(steal_pool, uniform, out, 1);
-
-  metrics::Registry().Reset();
-  const double skew_chunk_ms = MeasureMillis(chunk_pool, skewed, out, reps);
-  const uint64_t steals_before = CounterValue("util.pool.steals_total");
-  const uint64_t pops_before = CounterValue("util.pool.local_pops_total");
-  const double skew_steal_ms = MeasureMillis(steal_pool, skewed, out, reps);
-  const uint64_t skew_steals =
-      CounterValue("util.pool.steals_total") - steals_before;
-  const uint64_t skew_pops =
-      CounterValue("util.pool.local_pops_total") - pops_before;
-
-  const double uniform_chunk_ms =
-      MeasureMillis(chunk_pool, uniform, out, reps);
-  const double uniform_steal_ms =
-      MeasureMillis(steal_pool, uniform, out, reps);
-
-  const double skew_speedup = skew_chunk_ms / skew_steal_ms;
-  const double uniform_ratio = uniform_chunk_ms / uniform_steal_ms;
-
-  std::printf("\n%-22s %12s %12s %9s\n", "workload", "chunk-pull",
-              "work-steal", "speedup");
-  std::printf("%-22s %10.2fms %10.2fms %8.2fx\n", "skewed (grain 1)",
-              skew_chunk_ms, skew_steal_ms, skew_speedup);
-  std::printf("%-22s %10.2fms %10.2fms %8.2fx\n", "uniform (grain 64)",
-              uniform_chunk_ms, uniform_steal_ms, uniform_ratio);
-  std::printf("skewed steal path: %llu local pops, %llu steals\n",
-              static_cast<unsigned long long>(skew_pops),
-              static_cast<unsigned long long>(skew_steals));
-
-  // ---- Phase 3: the real 2-hop label build ------------------------
   gen::SocialGenOptions sopts;
   sopts.num_users = graph_users;
   sopts.num_topics = 15;
   sopts.seed = 5;
   auto social = gen::GenerateSocialGraph(sopts);
-  MeasureTwoHopBuildMillis(&social.graph, steal_pool, 1);  // warm
-  const double twohop_chunk_ms =
-      MeasureTwoHopBuildMillis(&social.graph, chunk_pool, reps);
-  const double twohop_steal_ms =
-      MeasureTwoHopBuildMillis(&social.graph, steal_pool, reps);
-  const double twohop_speedup = twohop_chunk_ms / twohop_steal_ms;
-  std::printf("%-22s %10.2fms %10.2fms %8.2fx   (%u users, report-only)\n",
-              "2-hop build", twohop_chunk_ms, twohop_steal_ms,
-              twohop_speedup, graph_users);
+  const Scaling twohop =
+      Measure(serial_pool, wide_pool, [&](util::ThreadPool& pool) {
+        auto index = reach::TwoHopIndex::Build(&social.graph, 5, &pool);
+        if (index.IndexSizeBytes() == 0) std::printf("(empty index)\n");
+      });
+
+  std::printf("\n%-20s %30s %30s %8s\n", "workload",
+              "1 thread: median [min, max]", "N threads: median [min, max]",
+              "scaling");
+  PrintRow("uniform (grain 64)", uniform);
+  PrintRow("skewed (grain 1)", skewed);
+  PrintRow("2-hop build", twohop);
+  std::printf("(2-hop build on %u users; skewed and 2-hop report-only)\n",
+              graph_users);
 
   // ---- Sidecars ---------------------------------------------------
   auto& reg = metrics::Registry();
-  reg.GetGauge("bench.scheduler.skew_speedup_x100")
-      ->Set(static_cast<int64_t>(skew_speedup * 100));
-  reg.GetGauge("bench.scheduler.uniform_ratio_x100")
-      ->Set(static_cast<int64_t>(uniform_ratio * 100));
-  reg.GetGauge("bench.scheduler.twohop_speedup_x100")
-      ->Set(static_cast<int64_t>(twohop_speedup * 100));
+  reg.GetGauge("bench.scheduler.uniform_scaling_x100")
+      ->Set(static_cast<int64_t>(uniform.ratio() * 100));
+  reg.GetGauge("bench.scheduler.skew_scaling_x100")
+      ->Set(static_cast<int64_t>(skewed.ratio() * 100));
+  reg.GetGauge("bench.scheduler.twohop_scaling_x100")
+      ->Set(static_cast<int64_t>(twohop.ratio() * 100));
   const char* metrics_path = "bench_scheduler.metrics.json";
   if (metrics::WriteJsonFile(metrics_path).ok()) {
     std::printf("\nmetrics JSON written to %s\n", metrics_path);
   }
 
-  // The speedup floor only means something on real parallel hardware,
+  // The scaling floor only means something on real parallel hardware,
   // in full mode (smoke keeps CI fast and deterministic).
   const bool asserted = !smoke && hw >= 4 && threads >= 4;
   {
@@ -231,50 +233,35 @@ int main(int argc, char** argv) {
     JsonWriter w(&sidecar);
     w.BeginObject();
     w.KeyValue("bench", std::string_view("scheduler"));
-    w.KeyValue("schema_version", uint64_t{1});
+    w.KeyValue("schema_version", uint64_t{2});
     w.KeyValue("mode", std::string_view(smoke ? "smoke" : "full"));
     w.KeyValue("threads", uint64_t{threads});
     w.KeyValue("hw_threads", uint64_t{hw});
-    w.KeyValue("sockets", uint64_t{steal_pool.num_sockets()});
-    w.KeyValue("pinned", steal_pool.pinned());
-    w.KeyValue("skew_items", uint64_t{skew_items});
-    w.KeyValue("skew_chunk_ms", skew_chunk_ms);
-    w.KeyValue("skew_steal_ms", skew_steal_ms);
-    w.KeyValue("skew_speedup", skew_speedup);
-    w.KeyValue("skew_steals", skew_steals);
-    w.KeyValue("skew_local_pops", skew_pops);
+    w.KeyValue("reps", uint64_t{kReps});
     w.KeyValue("uniform_items", uint64_t{uniform_items});
-    w.KeyValue("uniform_chunk_ms", uniform_chunk_ms);
-    w.KeyValue("uniform_steal_ms", uniform_steal_ms);
-    w.KeyValue("uniform_ratio", uniform_ratio);
+    WriteScaling(w, "uniform", uniform);
+    w.KeyValue("skew_items", uint64_t{skew_items});
+    WriteScaling(w, "skew", skewed);
     w.KeyValue("twohop_users", uint64_t{graph_users});
-    w.KeyValue("twohop_chunk_ms", twohop_chunk_ms);
-    w.KeyValue("twohop_steal_ms", twohop_steal_ms);
-    w.KeyValue("twohop_speedup", twohop_speedup);
+    WriteScaling(w, "twohop", twohop);
     w.KeyValue("asserted", asserted);
     w.EndObject();
     sidecar << "\n";
     std::printf("trajectory written to BENCH_scheduler.json\n");
   }
 
-  // ---- Acceptance gates -------------------------------------------
-  bool ok = true;
-  if (asserted) {
-    if (skew_speedup < 1.25) {
-      std::printf("FAIL: skewed speedup %.2fx below the 1.25x floor\n",
-                  skew_speedup);
-      ok = false;
-    }
-    if (uniform_ratio < 0.90) {
-      std::printf("FAIL: uniform ratio %.2fx regressed below 0.90x\n",
-                  uniform_ratio);
-      ok = false;
-    }
-  } else {
+  // ---- Acceptance gate --------------------------------------------
+  if (!asserted) {
     std::printf(
-        "floors not asserted (%s, %u hardware threads); they apply in "
-        "full mode at >= 4 hardware threads\n",
-        smoke ? "smoke mode" : "full mode", hw);
+        "floor not asserted (%s, %u hardware threads, %u pool threads); "
+        "it applies in full mode at >= 4 hardware threads\n",
+        smoke ? "smoke mode" : "full mode", hw, threads);
+    return 0;
   }
-  return ok ? 0 : 1;
+  if (uniform.ratio() < 1.2) {
+    std::printf("FAIL: uniform scaling %.2fx below the 1.2x floor\n",
+                uniform.ratio());
+    return 1;
+  }
+  return 0;
 }

@@ -203,7 +203,9 @@ int main(int argc, char** argv) {
       auto ack = service.SubmitFeedback(entity, tweet);
       const uint64_t epoch = ack.get();
       if (epoch == serve::kFeedbackRejected) {
-        std::printf("  feedback rejected (service stopped)\n");
+        // The service only stops on exit, so a rejection here means the
+        // entity or user id is out of range.
+        std::printf("  feedback rejected (invalid id)\n");
       } else {
         std::printf("  confirmed entity %u; visible from epoch %llu\n",
                     entity, static_cast<unsigned long long>(epoch));

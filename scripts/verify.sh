@@ -3,13 +3,14 @@
 # Configures, builds, and runs the full test suite; fails on the first error.
 #
 # A second stage runs a Release-mode bench smoke: the hot-path A/B bench,
-# the reachability arena/count-only A/B, the serving micro-batch A/B
-# (which also asserts batched == sequential bit-identity), the scheduler
-# A/B (chunk-pull vs work-stealing; speedup floors assert only in full
-# mode on >= 4 hardware threads), the MEL3 startup A/B (mmap vs
-# deserializing load; the >= 10x floor asserts only in full mode), the
-# incremental-maintenance A/B (patch vs per-delta index rebuilds; the
-# >= 5x insert floor asserts only in full mode), the SIMD kernel A/B
+# the reachability count-only A/B, the serving micro-batch A/B (which
+# also asserts batched == sequential bit-identity), the scheduler
+# scaling check (chunk-pull at 1 vs N threads; the uniform scaling floor
+# asserts only in full mode on >= 4 hardware threads), the MEL3 startup
+# A/B (mmap vs deserializing load; the >= 10x floor asserts only in full
+# mode), the incremental-maintenance A/B (patch vs per-delta index
+# rebuilds; the >= 5x insert floor asserts only in full mode), the SIMD
+# kernel A/B
 # (scalar vs dispatched kernel tables; the >= 1.5x merge-intersection
 # floor asserts only in full mode on AVX2 hosts), and a
 # short bench_micro filter, then checks that all metrics sidecars are
@@ -28,9 +29,9 @@
 #
 # A third stage rebuilds the threaded code under ThreadSanitizer and
 # runs the suites that exercise the thread pool (including the
-# work-stealing deque protocol and the many-submitters steal stress
-# test), the parallel index and network constructions, the
-# recency-cache fill, the reach-score cache, the batch linker, the
+# many-submitters stress test), the parallel index and network
+# constructions, the recency-cache fill, the reach-score cache, the
+# batch linker, the
 # serving loop (producers + feedback racing the dispatcher,
 # epoch-schedule replay, drain-on-shutdown), the metrics-export
 # concurrency test, the concurrent mapped-index query test, and the
@@ -51,7 +52,7 @@ cd "$(dirname "$0")/.."
 cmake -B build -S . && cmake --build build -j && (cd build && ctest --output-on-failure -j)
 
 if [ "${MEL_SKIP_BENCH:-0}" != "1" ]; then
-  echo "=== Bench smoke: query hot path A/B + reach arena A/B + serving + scheduler + micro (Release) ==="
+  echo "=== Bench smoke: query hot path A/B + reach count-only A/B + serving + scheduler + micro (Release) ==="
   cmake --build build -j --target bench_query_hotpath bench_micro \
     bench_reachability_index bench_serving bench_scheduler \
     bench_index_startup bench_incremental bench_kernels
@@ -85,16 +86,15 @@ required = {
     "BENCH_serving.json": ("bench", "schema_version", "qps_batched",
                            "speedup", "identity_ok", "link_latency_ns"),
     "BENCH_scheduler.json": ("bench", "schema_version", "mode", "threads",
-                             "skew_speedup", "uniform_ratio",
-                             "twohop_speedup", "skew_steals", "asserted"),
+                             "hw_threads", "uniform_scaling",
+                             "skew_scaling", "twohop_scaling", "asserted"),
     "BENCH_hotpath.json": ("bench", "schema_version", "mode",
                            "baseline_mentions_per_sec",
                            "optimized_mentions_per_sec", "speedup",
                            "parallel_build_identical"),
     "BENCH_reach.json": ("bench", "schema_version", "mode",
-                         "legacy_score_ns", "arena_score_ns",
-                         "score_only_ns", "arena_index_bytes",
-                         "legacy_index_bytes"),
+                         "arena_score_ns", "score_only_ns",
+                         "arena_index_bytes"),
     "BENCH_startup.json": ("bench", "schema_version", "mode", "users",
                            "file_bytes", "deserialize_warm_ns",
                            "deserialize_cold_ns", "mmap_warm_ns",
@@ -137,7 +137,7 @@ if [ "${MEL_SKIP_TSAN:-0}" != "1" ]; then
     extensions_test recency_test text_test differential_test \
     metrics_test serve_test mmap_test incremental_test
   (cd build-tsan && ctest --output-on-failure \
-    -R 'ThreadPool|StealDeque|Parallel|CachedReachability|DifferentialConcurrency|ServeFixture|ConcurrencyTest|MmapConcurrency|Incremental' -j)
+    -R 'ThreadPool|Parallel|CachedReachability|DifferentialConcurrency|ServeFixture|ConcurrencyTest|MmapConcurrency|Incremental' -j)
   echo "=== TSan stage: reduced differential sweep (mutation shards included) ==="
   (cd build-tsan/tests && MEL_DIFF_CASES="${MEL_DIFF_CASES_TSAN:-40}" \
     ./differential_test --gtest_filter='DifferentialShards.Shard*:MutationSweep.Shard*')

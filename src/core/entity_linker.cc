@@ -55,6 +55,7 @@ EntityLinker::EntityLinker(
     const recency::RecencySource* recency_override)
     : kb_(kb),
       ckb_(ckb),
+      num_users_(reachability->num_nodes()),
       options_(options),
       candidate_generator_(kb, options.fuzzy_max_edits),
       influence_(ckb, options.influence_method),
@@ -200,6 +201,11 @@ void EntityLinker::ConfirmLink(kb::EntityId entity, const kb::Tweet& tweet) {
   // The entity's community changed; cached influential users are stale
   // (Sec. 3.2.2: "update existing knowledge such as user influences").
   influential_index_.Invalidate(entity);
+}
+
+bool EntityLinker::IsValidFeedback(kb::EntityId entity,
+                                   kb::UserId user) const {
+  return entity < kb_->num_entities() && user < num_users_;
 }
 
 void EntityLinker::WarmUp() {

@@ -128,6 +128,13 @@ class EntityLinker {
   /// link so future popularity/recency/influence reflect it.
   void ConfirmLink(kb::EntityId entity, const kb::Tweet& tweet);
 
+  /// True when ConfirmLink(entity, tweet) is well-formed: `entity` is a
+  /// KB entity and `user` a node of the social graph. Feedback from
+  /// outside the process must pass this first — ConfirmLink treats an
+  /// out-of-range entity as a broken invariant, and an out-of-range user
+  /// would later index past the reachability backend.
+  bool IsValidFeedback(kb::EntityId entity, kb::UserId user) const;
+
   /// Materializes all lazily computed shared state (influential-user
   /// cache, posting-list sort order). After WarmUp — and until the next
   /// ConfirmLink — LinkMention and LinkTweet are safe to call from
@@ -143,6 +150,10 @@ class EntityLinker {
  private:
   const kb::Knowledgebase* kb_;
   kb::ComplementedKnowledgebase* ckb_;
+  // Social-graph node count, read once: graph mutations never add nodes,
+  // and caching it keeps IsValidFeedback off the reachability backend,
+  // which a serving barrier may be rebuilding concurrently.
+  uint32_t num_users_;
   LinkerOptions options_;
   CandidateGenerator candidate_generator_;
   social::InfluenceEstimator influence_;

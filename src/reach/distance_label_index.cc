@@ -332,57 +332,13 @@ Status DistanceLabelIndex::ValidateNodeIds() const {
 
 Result<DistanceLabelIndex> DistanceLabelIndex::Load(
     const std::string& path, const graph::DirectedGraph* g) {
-  uint32_t magic = 0;
-  {
-    BinaryReader sniff(path);
-    magic = sniff.ReadU32();
-    if (!sniff.status().ok()) return sniff.status();
-  }
-  if (magic == kMel3Magic) {
-    util::MmapLoadOptions opts;
-    opts.map.advice = util::MmapFile::Advice::kSequential;
-    opts.verify_checksums = true;
-    auto mapped = LoadMapped(path, g, opts);
-    if (!mapped.ok()) return mapped.status();
-    DistanceLabelIndex index = std::move(mapped).value();
-    index.MaterializeOwned();
-    return index;
-  }
-  if (magic != kDliMagic) {
-    return Status::InvalidArgument("not a distance-label index file");
-  }
-  // Legacy "MELD" copying load (pre-MEL3 wire format).
-  BinaryReader reader(path);
-  reader.ReadU32();  // magic, already sniffed
-  uint32_t version = reader.ReadU32();
-  uint32_t n = reader.ReadU32();
-  uint32_t max_hops = reader.ReadU32();
-  if (!reader.status().ok()) return reader.status();
-  if (version != kDliVersion) {
-    return Status::InvalidArgument("unsupported index version");
-  }
-  if (n != g->num_nodes()) {
-    return Status::FailedPrecondition(
-        "index was built for a graph with a different node count");
-  }
-  DistanceLabelIndex index(g, max_hops);
-  std::vector<uint64_t> in_offsets, out_offsets;
-  std::vector<Label> in_entries, out_entries;
-  reader.ReadVectorInto(&in_offsets);
-  reader.ReadVectorInto(&in_entries);
-  reader.ReadVectorInto(&out_offsets);
-  reader.ReadVectorInto(&out_entries);
-  if (!reader.status().ok()) return reader.status();
-  index.in_offsets_.Own(std::move(in_offsets));
-  index.in_entries_.Own(std::move(in_entries));
-  index.out_offsets_.Own(std::move(out_offsets));
-  index.out_entries_.Own(std::move(out_entries));
-  Status valid = index.ValidateOffsets();
-  if (!valid.ok()) return valid;
-  valid = index.ValidateNodeIds();
-  if (!valid.ok()) return valid;
-  PublishMmapLoadMetrics(kLoadModeCopied, 0,
-                         util::MmapFile::Advice::kNormal);
+  util::MmapLoadOptions opts;
+  opts.map.advice = util::MmapFile::Advice::kSequential;
+  opts.verify_checksums = true;
+  auto mapped = LoadMapped(path, g, opts);
+  if (!mapped.ok()) return mapped.status();
+  DistanceLabelIndex index = std::move(mapped).value();
+  index.MaterializeOwned();
   return index;
 }
 

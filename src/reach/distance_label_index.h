@@ -50,6 +50,7 @@ class DistanceLabelIndex : public WeightedReachability {
   double ScoreOnly(NodeId u, NodeId v) const override;
   uint64_t IndexSizeBytes() const override;
   const char* Name() const override { return "2-hop-dist-only"; }
+  uint32_t num_nodes() const override { return g_->num_nodes(); }
 
   /// \brief Mutate-or-invalidate contract: insertions patch the distance
   /// labels in place (closed form + hub-u injection over the affected
@@ -65,9 +66,9 @@ class DistanceLabelIndex : public WeightedReachability {
   /// blocks, wrapping inner format "MELD").
   Status Save(const std::string& path) const;
 
-  /// Copying load. Accepts both MEL3 containers (written by Save) and
-  /// legacy length-prefixed "MELD" files; either way the arenas land in
-  /// owned heap storage and are fully validated. The graph must be the
+  /// Copying load of a MEL3 container written by Save: LoadMapped with
+  /// `verify_checksums`, then the arenas are copied into owned heap
+  /// storage. Any other file is InvalidArgument. The graph must be the
   /// same one the index was built from (node count is validated).
   static Result<DistanceLabelIndex> Load(const std::string& path,
                                          const graph::DirectedGraph* g);

@@ -32,6 +32,7 @@ class NaiveReachability : public WeightedReachability {
   double ScoreOnly(NodeId u, NodeId v) const override;
   uint64_t IndexSizeBytes() const override { return 0; }
   const char* Name() const override { return "naive-bfs"; }
+  uint32_t num_nodes() const override { return g_->num_nodes(); }
 
  private:
   const graph::DirectedGraph* g_;

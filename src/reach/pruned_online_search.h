@@ -43,6 +43,7 @@ class PrunedOnlineSearch : public WeightedReachability {
   double ScoreOnly(NodeId u, NodeId v) const override;
   uint64_t IndexSizeBytes() const override;
   const char* Name() const override { return "pruned-online-search"; }
+  uint32_t num_nodes() const override { return g_->num_nodes(); }
 
   /// True when the interval labels PROVE v is unreachable from u
   /// (ignoring the hop bound). False means "maybe reachable".

@@ -62,6 +62,7 @@ class CachedReachability : public WeightedReachability {
   double ScoreOnly(NodeId u, NodeId v) const override;
   uint64_t IndexSizeBytes() const override;
   const char* Name() const override { return name_.c_str(); }
+  uint32_t num_nodes() const override { return g_->num_nodes(); }
 
   /// Drops every cached entry (e.g. after an edge insertion).
   void Invalidate();

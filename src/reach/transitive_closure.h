@@ -54,6 +54,7 @@ class TransitiveClosureIndex : public WeightedReachability {
   double ScoreOnly(NodeId u, NodeId v) const override;
   uint64_t IndexSizeBytes() const override;
   const char* Name() const override { return "transitive-closure"; }
+  uint32_t num_nodes() const override { return g_->num_nodes(); }
 
   /// Shortest-path distance (kUnreachableDistance beyond H hops).
   uint32_t Distance(NodeId u, NodeId v) const;

@@ -723,69 +723,13 @@ Status TwoHopIndex::ValidateNodeIds() const {
 
 Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path,
                                       const graph::DirectedGraph* g) {
-  uint32_t magic = 0;
-  {
-    BinaryReader sniff(path);
-    magic = sniff.ReadU32();
-    if (!sniff.status().ok()) return sniff.status();
-  }
-  if (magic == kMel3Magic) {
-    // MEL3 copying load: map + fully verify (checksums, node ids), then
-    // materialize the arenas into owned heap storage and drop the
-    // mapping.
-    util::MmapLoadOptions opts;
-    opts.map.advice = util::MmapFile::Advice::kSequential;
-    opts.verify_checksums = true;
-    auto mapped = LoadMapped(path, g, opts);
-    if (!mapped.ok()) return mapped.status();
-    TwoHopIndex index = std::move(mapped).value();
-    index.MaterializeOwned();
-    return index;
-  }
-  if (magic != kTwoHopMagic) {
-    return Status::InvalidArgument("not a 2-hop index file");
-  }
-  // Legacy "MEL2" copying load: length-prefixed blocks behind a 16-byte
-  // header, exactly the pre-MEL3 wire format. Kept so indexes saved by
-  // earlier builds keep loading.
-  BinaryReader reader(path);
-  reader.ReadU32();  // magic, already sniffed
-  uint32_t version = reader.ReadU32();
-  uint32_t n = reader.ReadU32();
-  uint32_t max_hops = reader.ReadU32();
-  if (!reader.status().ok()) return reader.status();
-  if (version != kTwoHopVersion) {
-    return Status::InvalidArgument("unsupported index version");
-  }
-  if (n != g->num_nodes()) {
-    return Status::FailedPrecondition(
-        "index was built for a graph with a different node count");
-  }
-  TwoHopIndex index(g, max_hops);
-  std::vector<uint64_t> in_offsets, out_offsets, followee_offsets;
-  std::vector<InLabel> in_entries;
-  std::vector<OutSpan> out_entries;
-  std::vector<NodeId> followee_arena;
-  reader.ReadVectorInto(&in_offsets);
-  reader.ReadVectorInto(&in_entries);
-  reader.ReadVectorInto(&out_offsets);
-  reader.ReadVectorInto(&out_entries);
-  reader.ReadVectorInto(&followee_offsets);
-  reader.ReadVectorInto(&followee_arena);
-  if (!reader.status().ok()) return reader.status();
-  index.in_offsets_.Own(std::move(in_offsets));
-  index.in_entries_.Own(std::move(in_entries));
-  index.out_offsets_.Own(std::move(out_offsets));
-  index.out_entries_.Own(std::move(out_entries));
-  index.followee_offsets_.Own(std::move(followee_offsets));
-  index.followee_arena_.Own(std::move(followee_arena));
-  Status valid = index.ValidateOffsets();
-  if (!valid.ok()) return valid;
-  valid = index.ValidateNodeIds();
-  if (!valid.ok()) return valid;
-  index.PublishArenaMetrics();
-  PublishMmapLoadMetrics(kLoadModeCopied, 0,
-                         util::MmapFile::Advice::kNormal);
+  util::MmapLoadOptions opts;
+  opts.map.advice = util::MmapFile::Advice::kSequential;
+  opts.verify_checksums = true;
+  auto mapped = LoadMapped(path, g, opts);
+  if (!mapped.ok()) return mapped.status();
+  TwoHopIndex index = std::move(mapped).value();
+  index.MaterializeOwned();
   return index;
 }
 
@@ -872,18 +816,6 @@ uint64_t TwoHopIndex::IndexSizeBytes() const {
          out_offsets_.size() * sizeof(uint64_t) +
          out_entries_.size() * sizeof(OutSpan) +
          followee_offsets_.size() * sizeof(uint64_t) +
-         followee_arena_.size() * sizeof(NodeId);
-}
-
-uint64_t TwoHopIndex::LegacyIndexSizeBytes() const {
-  // Pre-arena layout: vector-of-vectors on both sides (24-byte vector
-  // header per node per side), 8-byte in-labels, out-labels carrying an
-  // inline std::vector<NodeId> (8 B node+dist plus a 24-byte vector
-  // header) with followee ids in per-label heap blocks.
-  const uint64_t vector_header = 3 * sizeof(void*);
-  const uint64_t n = g_->num_nodes();
-  return 2 * n * vector_header + in_entries_.size() * sizeof(InLabel) +
-         out_entries_.size() * (sizeof(OutSpan) + vector_header) +
          followee_arena_.size() * sizeof(NodeId);
 }
 

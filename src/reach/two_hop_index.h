@@ -73,6 +73,7 @@ class TwoHopIndex : public WeightedReachability {
   double ScoreOnly(NodeId u, NodeId v) const override;
   uint64_t IndexSizeBytes() const override;
   const char* Name() const override { return "2-hop-cover"; }
+  uint32_t num_nodes() const override { return g_->num_nodes(); }
 
   /// \brief Mutate-or-invalidate contract.
   ///
@@ -97,24 +98,18 @@ class TwoHopIndex : public WeightedReachability {
   uint64_t NumOutEntries() const { return out_entries_.size(); }
   uint64_t NumFolloweeIds() const { return followee_arena_.size(); }
 
-  /// What the same labels cost in the pre-arena layout (one heap vector
-  /// per out-label, one vector-of-vectors per side): per-node vector
-  /// headers, per-label inline vector headers, and the followee heap
-  /// blocks. Reported by bench_reachability_index as the layout A/B
-  /// baseline.
-  uint64_t LegacyIndexSizeBytes() const;
-
   /// Persists the labels as a MEL3 container: fixed 64-byte header +
   /// block table, then the six arenas as sector-aligned (4096 B)
   /// checksummed blocks. Deterministic — save/load/save is
   /// byte-identical.
   Status Save(const std::string& path) const;
 
-  /// Copying load. Accepts both MEL3 containers (written by Save) and
-  /// legacy length-prefixed "MEL2" files; either way the arenas land in
-  /// owned heap storage and are fully validated (offsets, node ids, and
-  /// — for MEL3 — block checksums). The graph must be the same one the
-  /// index was built from (node count is validated).
+  /// Copying load of a MEL3 container written by Save: LoadMapped with
+  /// `verify_checksums` (offsets, node ids and block checksums are all
+  /// validated), then the arenas are copied into owned heap storage and
+  /// the mapping is dropped. Any other file is InvalidArgument. The
+  /// graph must be the same one the index was built from (node count is
+  /// validated).
   static Result<TwoHopIndex> Load(const std::string& path,
                                   const graph::DirectedGraph* g);
 

@@ -143,6 +143,10 @@ class WeightedReachability {
 
   /// Human-readable backend name for benchmark tables.
   virtual const char* Name() const = 0;
+
+  /// Node count of the graph the backend answers over; ids at or above
+  /// it are not valid query endpoints.
+  virtual uint32_t num_nodes() const = 0;
 };
 
 }  // namespace mel::reach

@@ -172,7 +172,8 @@ std::future<uint64_t> LinkService::SubmitFeedback(kb::EntityId entity,
   pending.entity = entity;
   pending.tweet = tweet;
   std::future<uint64_t> future = pending.ack.get_future();
-  if (stopped_.load(std::memory_order_acquire) ||
+  if (!linker_->IsValidFeedback(entity, tweet.user) ||
+      stopped_.load(std::memory_order_acquire) ||
       !queue_.PushFeedback(std::move(pending))) {
     // PushFeedback left `pending` intact on failure (closed queue).
     pending.ack.set_value(kFeedbackRejected);

@@ -95,8 +95,9 @@ class LinkService {
 
   /// Queues a ConfirmLink write; it is applied at the next epoch barrier,
   /// serialized after the in-flight batch. The future resolves with the
-  /// first epoch whose responses observe the write (kFeedbackRejected if
-  /// the service stopped first).
+  /// first epoch whose responses observe the write, or kFeedbackRejected
+  /// if the service stopped first or the write is not well-formed
+  /// (EntityLinker::IsValidFeedback: unknown entity or user id).
   std::future<uint64_t> SubmitFeedback(kb::EntityId entity,
                                        const kb::Tweet& tweet);
 

@@ -72,7 +72,8 @@ struct LinkResponse {
 };
 
 /// Sentinel resolved through SubmitFeedback's future when the write was
-/// rejected (service stopped before the barrier could apply it).
+/// rejected (unknown entity or user id, or the service stopped before the
+/// barrier could apply it).
 inline constexpr uint64_t kFeedbackRejected = static_cast<uint64_t>(-1);
 
 /// Sentinel resolved through SubmitMutation's future when the delta was

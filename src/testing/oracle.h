@@ -73,6 +73,7 @@ class OracleReachability : public reach::WeightedReachability {
   }
   uint64_t IndexSizeBytes() const override { return 0; }
   const char* Name() const override { return "oracle-forward-bfs"; }
+  uint32_t num_nodes() const override { return g_->num_nodes(); }
 
  private:
   const graph::DirectedGraph* g_;

@@ -33,16 +33,10 @@ class BinaryWriter {
   /// Length-prefixed byte string.
   void WriteString(const std::string& s);
 
-  /// Length-prefixed vector of fixed-width elements.
+  /// Length-prefixed vector of fixed-width elements, written as one raw
+  /// block after the length.
   template <typename T>
   void WriteVector(const std::vector<T>& v) {
-    WriteSpan(std::span<const T>(v));
-  }
-
-  /// Length-prefixed contiguous block: the whole span leaves as ONE raw
-  /// write. Same wire format as WriteVector — arenas stream through here.
-  template <typename T>
-  void WriteSpan(std::span<const T> v) {
     static_assert(std::is_trivially_copyable_v<T>);
     WriteU64(v.size());
     if (!v.empty()) WriteRaw(v.data(), v.size() * sizeof(T));
@@ -84,36 +78,25 @@ class BinaryReader {
   double ReadDouble();
   std::string ReadString();
 
+  /// Reads a vector written by WriteVector: one length read plus one raw
+  /// read for the payload. Returns an empty vector on error; status() is
+  /// sticky.
   template <typename T>
   std::vector<T> ReadVector() {
-    std::vector<T> v;
-    ReadVectorInto(&v);
-    return v;
-  }
-
-  /// Reads a block written by WriteVector/WriteSpan into `*out` (resized
-  /// to fit): one length read plus ONE raw read for the payload, so arena
-  /// loads cost a single I/O pass plus pointer fixup in the caller.
-  /// Returns false (and clears `*out`) on error; status() is sticky.
-  template <typename T>
-  bool ReadVectorInto(std::vector<T>* out) {
     static_assert(std::is_trivially_copyable_v<T>);
-    out->clear();
+    std::vector<T> out;
     uint64_t size = ReadU64();
     // Guard against absurd sizes from corrupt headers.
     if (!status_.ok() || size > kMaxElements) {
       if (status_.ok()) {
         status_ = Status::InvalidArgument("corrupt vector length");
       }
-      return false;
+      return out;
     }
-    out->resize(size);
-    if (size > 0) ReadRaw(out->data(), size * sizeof(T));
-    if (!status_.ok()) {
-      out->clear();
-      return false;
-    }
-    return true;
+    out.resize(size);
+    if (size > 0) ReadRaw(out.data(), size * sizeof(T));
+    if (!status_.ok()) out.clear();
+    return out;
   }
 
   const Status& status() const { return status_; }
@@ -167,9 +150,8 @@ enum class Mel3BlockKind : uint32_t {
 };
 
 /// Fixed 64-byte container header at file offset 0. `inner_magic` /
-/// `inner_version` carry the wrapped index format (the legacy "MEL2" /
-/// "MELD" magics live on inside the container, so version negotiation
-/// is one sniff of the first 4 bytes).
+/// `inner_version` carry the wrapped index format (the pre-MEL3 "MEL2" /
+/// "MELD" magics live on as inner magics).
 struct Mel3Header {
   uint32_t magic;              // kMel3Magic
   uint32_t container_version;  // kMel3Version

@@ -1,11 +1,8 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
+#include <atomic>
 
-#include "util/cpu_topology.h"
 #include "util/metrics.h"
 
 namespace mel::util {
@@ -20,10 +17,6 @@ thread_local bool t_in_parallel_region = false;
 struct PoolMetrics {
   metrics::Counter* regions;
   metrics::Counter* inline_regions;
-  metrics::Counter* steals;
-  metrics::Counter* steal_fails;
-  metrics::Counter* local_pops;
-  metrics::Gauge* imbalance;
   metrics::Histogram* region_ns;
   metrics::Histogram* worker_items;
 };
@@ -34,10 +27,6 @@ const PoolMetrics& GetPoolMetrics() {
     PoolMetrics pm;
     pm.regions = reg.GetCounter("util.pool.parallel_for_total");
     pm.inline_regions = reg.GetCounter("util.pool.inline_for_total");
-    pm.steals = reg.GetCounter("util.pool.steals_total");
-    pm.steal_fails = reg.GetCounter("util.pool.steal_fails_total");
-    pm.local_pops = reg.GetCounter("util.pool.local_pops_total");
-    pm.imbalance = reg.GetGauge("util.pool.region_imbalance_x100");
     pm.region_ns = reg.GetHistogram("util.pool.parallel_for_ns");
     pm.worker_items = reg.GetHistogram("util.pool.worker_items");
     return pm;
@@ -45,159 +34,24 @@ const PoolMetrics& GetPoolMetrics() {
   return m;
 }
 
-inline void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-/// Exponential backoff: brief pause-spinning, then yields, then parks in
-/// escalating microsecond sleeps (capped at 256us) so idle thieves stop
-/// burning cycles — and, on oversubscribed machines, stop starving the
-/// participants that still hold work.
-class Backoff {
- public:
-  void Pause() {
-    if (round_ < kSpinRounds) {
-      for (uint32_t i = 0; i < (1u << round_); ++i) CpuRelax();
-    } else if (round_ < kSpinRounds + kYieldRounds) {
-      std::this_thread::yield();
-    } else {
-      const uint32_t exp =
-          std::min(round_ - kSpinRounds - kYieldRounds, 8u);
-      std::this_thread::sleep_for(std::chrono::microseconds(1u << exp));
-    }
-    ++round_;
-  }
-  void Reset() { round_ = 0; }
-
- private:
-  static constexpr uint32_t kSpinRounds = 5;
-  static constexpr uint32_t kYieldRounds = 3;
-  uint32_t round_ = 0;
-};
-
-/// Cheap per-participant RNG for randomized victim selection.
-struct XorShift {
-  uint64_t state;
-  uint64_t Next() {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  }
-};
-
-// Ranges are packed (lo << 32 | hi), relative to the region's begin, so
-// deque slots stay single 64-bit atomics. Regions with more than 2^32
-// indices fall back to the chunk-pull path (none of our workloads come
-// within orders of magnitude of that).
-constexpr size_t kMaxStealCount = (uint64_t{1} << 32) - 1;
-
-inline uint64_t PackRange(uint64_t lo, uint64_t hi) {
-  return (lo << 32) | hi;
-}
-
-inline void UnpackRange(uint64_t packed, size_t* lo, size_t* hi) {
-  *lo = static_cast<size_t>(packed >> 32);
-  *hi = static_cast<size_t>(packed & 0xffffffffull);
-}
-
-SchedulerKind SchedulerFromEnv() {
-  const char* env = std::getenv("MEL_SCHEDULER");
-  if (env != nullptr) {
-    if (std::strcmp(env, "chunk") == 0) return SchedulerKind::kChunkPull;
-    if (std::strcmp(env, "steal") == 0) return SchedulerKind::kWorkStealing;
-    std::fprintf(stderr,
-                 "[mel] ThreadPool: unknown MEL_SCHEDULER '%s' "
-                 "(expected chunk|steal); using steal\n",
-                 env);
-  }
-  return SchedulerKind::kWorkStealing;
-}
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
 
 struct ThreadPool::Job {
-  size_t begin = 0;
   size_t end = 0;
-  size_t count = 0;
   size_t grain = 1;
   const std::function<void(size_t)>* fn = nullptr;
-  SchedulerKind scheduler = SchedulerKind::kChunkPull;
-  uint32_t participants = 1;
-  uint64_t seed = 0;
   std::atomic<bool> cancelled{false};
-
-  // Chunk-pull: the shared cursor.
-  std::atomic<size_t> next{0};
-
-  // Work-stealing: completion counting and the two-level exit barrier.
-  std::atomic<size_t> done{0};
-  std::vector<std::vector<uint32_t>> socket_members;  // victim lists
-  struct SocketArrivals {
-    std::atomic<uint32_t> arrived{0};
-    uint32_t expected = 0;
-  };
-  std::vector<SocketArrivals> barrier;     // per-socket tier
-  std::atomic<uint32_t> sockets_done{0};   // global tier
-  uint32_t active_sockets = 0;
-  std::atomic<bool> released{false};
+  std::atomic<size_t> next{0};  // the shared cursor
 };
 
-ThreadPool::ThreadPool(uint32_t num_threads)
-    : ThreadPool([num_threads] {
-        Options o;
-        o.num_threads = num_threads;
-        return o;
-      }()) {}
-
-ThreadPool::ThreadPool(const Options& options) {
-  uint32_t num_threads = options.num_threads;
+ThreadPool::ThreadPool(uint32_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::thread::hardware_concurrency();
     if (num_threads == 0) num_threads = 4;
   }
-  scheduler_ = options.scheduler.has_value() ? *options.scheduler
-                                             : SchedulerFromEnv();
-  const CpuTopology& topo = HostTopology();
-  pinned_ = options.pin_threads && topo.detected && !topo.cpus.empty() &&
-            num_threads > 1;
-  num_sockets_ = pinned_ ? topo.num_sockets : 1;
-
-  slots_ = std::make_unique<Slot[]>(num_threads);
-  slot_socket_.assign(num_threads, 0);
-  worker_cpu_.assign(num_threads - 1, 0);
-  for (uint32_t t = 0; t + 1 < num_threads; ++t) {
-    if (pinned_) {
-      // Workers fill topology order (socket-major); cpu slot 0 is left
-      // to the submitting thread, which commonly runs there.
-      const CpuTopology::Cpu& cpu = topo.cpus[(t + 1) % topo.cpus.size()];
-      worker_cpu_[t] = cpu.cpu_id;
-      slot_socket_[t + 1] = cpu.socket;
-    }
-  }
-
   workers_.reserve(num_threads - 1);
   for (uint32_t t = 0; t + 1 < num_threads; ++t) {
     workers_.emplace_back([this, t] { WorkerLoop(t); });
-  }
-  if (!workers_.empty()) {
-    std::fprintf(
-        stderr, "[mel] ThreadPool: threads=%u scheduler=%s sockets=%u%s\n",
-        num_threads,
-        scheduler_ == SchedulerKind::kChunkPull ? "chunk-pull"
-                                                : "work-stealing",
-        num_sockets_, pinned_ ? " (workers pinned)" : "");
   }
 }
 
@@ -240,142 +94,7 @@ void ThreadPool::RunChunks(Job* job) {
   if (metrics::Enabled()) GetPoolMetrics().worker_items->Record(processed);
 }
 
-void ThreadPool::RunSteal(Job* job, uint32_t slot) {
-  Slot& self = slots_[slot];
-  const size_t grain = job->grain;
-  const uint32_t my_socket = slot_socket_[slot];
-  const std::vector<uint32_t>& local_victims =
-      job->socket_members[my_socket];
-  const bool timed = metrics::Enabled();
-  constexpr uint32_t kLocalAttempts = 2;   // same-socket victims first
-  constexpr uint32_t kGlobalAttempts = 2;  // then cross-socket
-
-  uint64_t local_pops = 0, steals = 0, steal_fails = 0;
-  uint64_t processed = 0, busy_ns = 0;
-  // Busy time is accounted per *streak* of consecutive chunks, not per
-  // chunk: the clock is read only when transitioning between "has work"
-  // and "stealing", so fine grains pay no timing overhead.
-  uint64_t streak_start = 0;
-  bool in_streak = false;
-  XorShift rng{job->seed * 0x9E3779B97F4A7C15ull + slot * 2 + 1};
-  Backoff backoff;
-  uint64_t range = 0;
-  bool have = false;
-
-  while (!job->cancelled.load(std::memory_order_relaxed) &&
-         job->done.load(std::memory_order_relaxed) < job->count) {
-    if (!have && self.deque.Pop(&range)) {
-      have = true;
-      ++local_pops;
-    }
-    if (have) {
-      have = false;
-      backoff.Reset();
-      size_t lo, hi;
-      UnpackRange(range, &lo, &hi);
-      // Adaptive splitting: halve the range until it fits one grain,
-      // pushing the far halves bottom-up — the deque's top then holds
-      // the largest piece, so a thief walks away with roughly half of
-      // this participant's remaining work in a single steal. If the
-      // deque is full (can't happen with bounded splits, but belt and
-      // braces) the oversized range simply runs unsplit.
-      while (hi - lo > grain) {
-        const size_t mid = lo + (hi - lo) / 2;
-        if (!self.deque.Push(PackRange(mid, hi))) break;
-        hi = mid;
-      }
-      if (timed && !in_streak) {
-        streak_start = NowNs();
-        in_streak = true;
-      }
-      try {
-        const size_t base = job->begin;
-        const std::function<void(size_t)>& fn = *job->fn;
-        for (size_t i = lo; i < hi; ++i) fn(base + i);
-      } catch (...) {
-        CaptureException(job);
-        break;
-      }
-      processed += hi - lo;
-      job->done.fetch_add(hi - lo, std::memory_order_relaxed);
-      continue;
-    }
-    // Own deque dry: steal. Randomized victims, same socket before
-    // crossing sockets; repeated failure backs off toward parking.
-    if (timed && in_streak) {
-      busy_ns += NowNs() - streak_start;
-      in_streak = false;
-    }
-    bool stole = false;
-    if (local_victims.size() > 1) {
-      for (uint32_t a = 0; a < kLocalAttempts && !stole; ++a) {
-        const uint32_t v = local_victims[static_cast<size_t>(
-            rng.Next() % local_victims.size())];
-        if (v == slot) continue;
-        if (slots_[v].deque.Steal(&range)) {
-          stole = true;
-        } else {
-          ++steal_fails;
-        }
-      }
-    }
-    for (uint32_t a = 0; a < kGlobalAttempts && !stole; ++a) {
-      const uint32_t v =
-          static_cast<uint32_t>(rng.Next() % job->participants);
-      if (v == slot) continue;
-      if (slots_[v].deque.Steal(&range)) {
-        stole = true;
-      } else {
-        ++steal_fails;
-      }
-    }
-    if (stole) {
-      have = true;
-      ++steals;
-      backoff.Reset();
-    } else {
-      backoff.Pause();
-    }
-  }
-
-  if (timed && in_streak) busy_ns += NowNs() - streak_start;
-
-  // A cancelled region leaves unexecuted ranges behind; drain our own
-  // deque so the next region starts clean. (On normal completion the
-  // deques are already empty: done == count implies nothing is queued.)
-  uint64_t discard;
-  while (self.deque.Pop(&discard)) {
-  }
-
-  self.busy_ns.store(busy_ns, std::memory_order_relaxed);
-  if (metrics::Enabled()) {
-    const PoolMetrics& pm = GetPoolMetrics();
-    pm.steals->Increment(steals);
-    pm.steal_fails->Increment(steal_fails);
-    pm.local_pops->Increment(local_pops);
-    pm.worker_items->Record(processed);
-  }
-
-  // Two-level exit barrier: last arrival within each socket promotes the
-  // socket to the global tier; the last socket releases everyone. The
-  // release/acquire chain also publishes every participant's busy_ns to
-  // the caller for the imbalance gauge.
-  Job::SocketArrivals& tier = job->barrier[my_socket];
-  if (tier.arrived.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-      tier.expected) {
-    if (job->sockets_done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        job->active_sockets) {
-      job->released.store(true, std::memory_order_release);
-    }
-  }
-  Backoff barrier_backoff;
-  while (!job->released.load(std::memory_order_acquire)) {
-    barrier_backoff.Pause();
-  }
-}
-
 void ThreadPool::WorkerLoop(uint32_t worker_index) {
-  if (pinned_) PinCurrentThreadToCpu(worker_cpu_[worker_index]);
   t_in_parallel_region = true;  // workers never open nested regions
   uint64_t seen_generation = 0;
   for (;;) {
@@ -388,19 +107,12 @@ void ThreadPool::WorkerLoop(uint32_t worker_index) {
       });
       if (shutdown_) return;
       seen_generation = job_generation_;
-      // Participation is deterministic: the first `job_worker_limit_`
-      // workers run the region. The work-stealing exit barrier counts
-      // on exactly this set showing up (and the caller keeps the job
-      // open until they all have).
+      // Only the first `job_worker_limit_` workers join the region.
       if (worker_index >= job_worker_limit_) continue;
       ++workers_in_job_;
       job = job_;
     }
-    if (job->scheduler == SchedulerKind::kWorkStealing) {
-      RunSteal(job, worker_index + 1);
-    } else {
-      RunChunks(job);
-    }
+    RunChunks(job);
     {
       std::lock_guard<std::mutex> lock(mu_);
       --workers_in_job_;
@@ -438,52 +150,12 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   // than one per chunk.
   const uint32_t helpers = static_cast<uint32_t>(std::min<size_t>(
       {workers_.size(), max_threads - 1, chunks - 1}));
-  const uint32_t participants = helpers + 1;
-
-  SchedulerKind sched = scheduler_;
-  if (sched == SchedulerKind::kWorkStealing && count > kMaxStealCount) {
-    sched = SchedulerKind::kChunkPull;  // range exceeds packed 32-bit form
-  }
 
   Job job;
-  job.begin = begin;
   job.end = end;
-  job.count = count;
   job.grain = grain;
   job.fn = &fn;
-  job.scheduler = sched;
-  job.participants = participants;
-  job.seed = ++region_seed_;
   job.next.store(begin, std::memory_order_relaxed);
-
-  if (sched == SchedulerKind::kWorkStealing) {
-    // The caller's socket can change between regions; workers' sockets
-    // are fixed by pinning. Safe to write here: the previous region's
-    // exit barrier guarantees nobody else touches slot state until this
-    // job is published under mu_ below.
-    slot_socket_[0] =
-        pinned_ ? CurrentCpuSocket(HostTopology()) % num_sockets_ : 0;
-    job.socket_members.assign(num_sockets_, {});
-    job.barrier = std::vector<Job::SocketArrivals>(num_sockets_);
-    for (uint32_t p = 0; p < participants; ++p) {
-      const uint32_t s = slot_socket_[p];
-      job.socket_members[s].push_back(p);
-      ++job.barrier[s].expected;
-    }
-    for (const auto& tier : job.barrier) {
-      if (tier.expected > 0) ++job.active_sockets;
-    }
-    // Seed every participant's deque with its contiguous slice of the
-    // range, so each starts on cache-local work and *all* work is
-    // stealable immediately — a slow-to-wake worker's slice gets eaten
-    // by thieves instead of idling.
-    for (uint32_t p = 0; p < participants; ++p) {
-      const uint64_t lo = count * static_cast<uint64_t>(p) / participants;
-      const uint64_t hi =
-          count * (static_cast<uint64_t>(p) + 1) / participants;
-      if (lo < hi) slots_[p].deque.Push(PackRange(lo, hi));
-    }
-  }
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -495,30 +167,8 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   work_cv_.notify_all();
 
   t_in_parallel_region = true;
-  if (sched == SchedulerKind::kWorkStealing) {
-    RunSteal(&job, 0);
-  } else {
-    RunChunks(&job);
-  }
+  RunChunks(&job);
   t_in_parallel_region = false;
-
-  // For work-stealing, the exit barrier inside RunSteal already
-  // synchronized all participants; fold their busy times into the
-  // per-region imbalance gauge (max/mean; 100 = perfectly balanced).
-  if (sched == SchedulerKind::kWorkStealing && metrics::Enabled()) {
-    uint64_t max_busy = 0, sum_busy = 0;
-    for (uint32_t p = 0; p < participants; ++p) {
-      const uint64_t b = slots_[p].busy_ns.load(std::memory_order_relaxed);
-      max_busy = std::max(max_busy, b);
-      sum_busy += b;
-    }
-    if (sum_busy > 0) {
-      const double mean =
-          static_cast<double>(sum_busy) / static_cast<double>(participants);
-      pm.imbalance->Set(
-          static_cast<int64_t>(100.0 * static_cast<double>(max_busy) / mean));
-    }
-  }
 
   std::exception_ptr exception;
   {

@@ -1,36 +1,20 @@
 #ifndef MEL_UTIL_THREAD_POOL_H_
 #define MEL_UTIL_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
-
-#include "util/steal_deque.h"
 
 namespace mel::util {
 
 /// How ParallelFor distributes indices across participants.
+// One enumerator left: host fingerprints still print the scheduler name.
 enum class SchedulerKind : uint8_t {
-  /// Work-stealing executor: each participant starts on its own
-  /// contiguous slice of the range (cache locality), splits it in half
-  /// into a per-thread Chase-Lev deque as it goes, and — when its own
-  /// deque runs dry — steals the *top* (largest) range of a randomly
-  /// chosen victim, preferring same-socket victims before crossing
-  /// sockets, with exponential backoff to idle parking between failed
-  /// rounds. This is the default: it wins on skewed per-item costs
-  /// (power-law degree distributions) and on small grains, where the
-  /// legacy shared cursor serializes on one hot cache line.
-  kWorkStealing,
-  /// Legacy dynamic chunking: participants pull grain-sized chunks from
-  /// one shared atomic cursor. Still wins for tiny regions of a few
-  /// chunks (no deques to seed, no exit barrier) and is kept as the
-  /// in-bench A/B baseline and as an escape hatch (MEL_SCHEDULER=chunk).
+  /// Participants pull grain-sized chunks from one shared atomic cursor.
   kChunkPull,
 };
 
@@ -42,12 +26,11 @@ enum class SchedulerKind : uint8_t {
 /// futures — the only entry point is ParallelFor, which is exactly what
 /// the index constructions and batch linking need.
 ///
-/// Scheduling is work-stealing by default (see SchedulerKind); workers
-/// are pinned to cores when /sys/devices/system/cpu is readable, sorted
-/// so that neighbouring workers share a socket, and every region ends
-/// with a two-level (per-socket, then global) barrier.
+/// Scheduling is dynamic chunking: every participant repeatedly claims
+/// the next `grain` indices from one shared atomic cursor until the
+/// range is exhausted, so slow items delay only the chunk they sit in.
 ///
-/// Concurrency contract (unchanged across schedulers):
+/// Concurrency contract:
 ///  * ParallelFor invokes fn(i) exactly once for every i in [begin, end).
 ///  * ParallelFor may be called from any thread; concurrent calls on the
 ///    same pool serialize on an internal mutex (one region at a time).
@@ -66,23 +49,9 @@ enum class SchedulerKind : uint8_t {
 ///    and only while metrics are enabled.
 class ThreadPool {
  public:
-  struct Options {
-    /// Total parallelism including the calling thread; 0 means
-    /// std::thread::hardware_concurrency().
-    uint32_t num_threads = 0;
-    /// Scheduler selection. Unset resolves from the MEL_SCHEDULER
-    /// environment variable ("chunk" or "steal"); otherwise
-    /// kWorkStealing. Benchmarks set it explicitly to A/B both paths.
-    std::optional<SchedulerKind> scheduler;
-    /// Pin workers to cores using the detected topology. Ignored (flat,
-    /// unpinned) when topology detection fails.
-    bool pin_threads = true;
-  };
-
   /// \param num_threads total parallelism including the calling thread;
   ///        0 means std::thread::hardware_concurrency().
   explicit ThreadPool(uint32_t num_threads = 0);
-  explicit ThreadPool(const Options& options);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -93,15 +62,8 @@ class ThreadPool {
     return static_cast<uint32_t>(workers_.size()) + 1;
   }
 
-  /// The scheduler this pool runs (logged once at construction).
-  SchedulerKind scheduler() const { return scheduler_; }
-
-  /// Number of distinct sockets the pool's participants can land on
-  /// (1 when topology is undetected or pinning is off).
-  uint32_t num_sockets() const { return num_sockets_; }
-
-  /// True when workers were successfully pinned to cores.
-  bool pinned() const { return pinned_; }
+  /// The scheduler this pool runs (always kChunkPull).
+  SchedulerKind scheduler() const { return SchedulerKind::kChunkPull; }
 
   /// Process-wide shared pool sized to the hardware. Construction happens
   /// on first use; the pool lives for the rest of the process.
@@ -109,12 +71,10 @@ class ThreadPool {
 
   /// Invokes fn(i) exactly once for every i in [begin, end).
   ///
-  /// \param grain the smallest range a participant executes per
+  /// \param grain the number of indices a participant claims per
   ///        scheduling step (0 behaves as 1); pick it so one chunk
-  ///        amortizes a couple of atomic operations, i.e. a few hundred
-  ///        nanoseconds of work or more. Under work-stealing, ranges are
-  ///        split in half until they reach `grain`, so it is also the
-  ///        unit of load balancing.
+  ///        amortizes an atomic increment on the shared cursor, i.e. a
+  ///        few hundred nanoseconds of work or more.
   /// \param max_threads cap on participants for this region (0 = the
   ///        whole pool). Used by callers that expose their own --threads
   ///        knob on top of the shared pool.
@@ -125,37 +85,14 @@ class ThreadPool {
  private:
   struct Job;
 
-  /// Per-participant scheduler state. Lives in the pool (not the job) so
-  /// regions do not allocate; region exit barriers guarantee exclusive
-  /// reuse. Cache-line aligned: the owner hammers its own deque bottom
-  /// while thieves probe the top.
-  struct alignas(64) Slot {
-    StealDeque deque;
-    /// Busy time (executing fn, not stealing/waiting) of the last
-    /// region, written by the slot owner before the exit barrier and
-    /// read by the caller after it for the imbalance gauge.
-    std::atomic<uint64_t> busy_ns{0};
-  };
-
   void WorkerLoop(uint32_t worker_index);
-  /// Legacy chunk-pull loop over the shared cursor.
+  /// Chunk-pull loop over the shared cursor, run by every participant.
   void RunChunks(Job* job);
-  /// Work-stealing loop for one participant, including the two-level
-  /// exit barrier. `slot` is 0 for the submitting caller, worker_index+1
-  /// for workers.
-  void RunSteal(Job* job, uint32_t slot);
   /// Records the first exception and cancels the region. Call from a
   /// catch block.
   void CaptureException(Job* job);
 
   std::vector<std::thread> workers_;
-  std::unique_ptr<Slot[]> slots_;        // one per participant slot
-  std::vector<uint32_t> slot_socket_;    // slot -> socket; [0] set per region
-  std::vector<uint32_t> worker_cpu_;     // worker -> pinned cpu id
-  SchedulerKind scheduler_ = SchedulerKind::kWorkStealing;
-  uint32_t num_sockets_ = 1;
-  bool pinned_ = false;
-  uint64_t region_seed_ = 0;  // per-region victim-selection seed
 
   std::mutex mu_;  // guards everything below
   std::condition_variable work_cv_;  // workers: a new region is open

@@ -205,8 +205,9 @@ TEST(Mel3ContainerTest, VerifyChecksumsOptionAcceptsIntactFile) {
   EXPECT_TRUE(mapped.value().IsMapped());
 }
 
-// Legacy pre-MEL3 files keep loading through the copying path.
-TEST(Mel3ContainerTest, LegacyMel2FileStillLoads) {
+// Bare pre-MEL3 files are no longer an index format: both loads reject
+// them.
+TEST(Mel3ContainerTest, LegacyMel2FileRejected) {
   auto g = RandomGraph(3, 6, 10);
   TempFile file("mel3_legacy_mel2.bin");
   {
@@ -224,15 +225,12 @@ TEST(Mel3ContainerTest, LegacyMel2FileStillLoads) {
     ASSERT_TRUE(writer.Finish().ok());
   }
   auto loaded = reach::TwoHopIndex::Load(file.path(), &g);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded.value().IsMapped());
-  EXPECT_EQ(loaded.value().TotalLabelEntries(), 2u);
-  // But the legacy wire format cannot be mapped.
-  auto mapped = reach::TwoHopIndex::LoadMapped(file.path(), &g);
-  EXPECT_FALSE(mapped.ok());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(reach::TwoHopIndex::LoadMapped(file.path(), &g).ok());
 }
 
-TEST(Mel3ContainerTest, LegacyMeldFileStillLoads) {
+TEST(Mel3ContainerTest, LegacyMeldFileRejected) {
   auto g = RandomGraph(3, 6, 10);
   TempFile file("mel3_legacy_meld.bin");
   {
@@ -249,8 +247,9 @@ TEST(Mel3ContainerTest, LegacyMeldFileStillLoads) {
     ASSERT_TRUE(writer.Finish().ok());
   }
   auto loaded = reach::DistanceLabelIndex::Load(file.path(), &g);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded.value().IsMapped());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(reach::DistanceLabelIndex::LoadMapped(file.path(), &g).ok());
 }
 
 // ------------------------------------------------------ corrupt files

@@ -193,10 +193,42 @@ TEST(IndexSerializationTest, TwoHopEmptyLabelRoundTrip) {
   EXPECT_EQ(ReadFileBytes(file.path()), ReadFileBytes(resave.path()));
 }
 
-// Hand-crafted files with plausible headers but broken offset arrays:
-// the loader must reject them instead of indexing out of bounds.
+// Hand-made 2-hop arenas for a 3-node graph with no labels; tests
+// break one arena at a time.
+struct TwoHopArenas {
+  std::vector<uint64_t> in_offsets{0, 0, 0, 0};
+  std::vector<reach::TwoHopIndex::InLabel> in_entries;
+  std::vector<uint64_t> out_offsets{0, 0, 0, 0};
+  std::vector<reach::TwoHopIndex::OutSpan> out_entries;
+  std::vector<uint64_t> followee_offsets{0};
+  std::vector<graph::NodeId> followee_arena;
+};
+
+// Wraps the arenas in a MEL3 container as TwoHopIndex::Save would. The
+// block checksums come out valid, so only the loader's structural and
+// content checks can reject the file.
+void WriteTwoHopMel3(const std::string& path, const TwoHopArenas& a) {
+  constexpr uint32_t kTwoHopInnerMagic = 0x4d454c32;  // "MEL2"
+  const Mel3BlockDesc blocks[] = {
+      Mel3BlockDesc::Of<uint64_t>(Mel3BlockKind::kInOffsets, a.in_offsets),
+      Mel3BlockDesc::Of<reach::TwoHopIndex::InLabel>(
+          Mel3BlockKind::kInEntries, a.in_entries),
+      Mel3BlockDesc::Of<uint64_t>(Mel3BlockKind::kOutOffsets, a.out_offsets),
+      Mel3BlockDesc::Of<reach::TwoHopIndex::OutSpan>(
+          Mel3BlockKind::kOutEntries, a.out_entries),
+      Mel3BlockDesc::Of<uint64_t>(Mel3BlockKind::kFolloweeOffsets,
+                                  a.followee_offsets),
+      Mel3BlockDesc::Of<graph::NodeId>(Mel3BlockKind::kFolloweeArena,
+                                       a.followee_arena),
+  };
+  ASSERT_TRUE(WriteMel3File(path, kTwoHopInnerMagic, /*inner_version=*/2,
+                            /*num_nodes=*/3, /*max_hops=*/5, blocks)
+                  .ok());
+}
+
+// Well-formed containers with broken offset arrays: the loader must
+// reject them instead of indexing out of bounds.
 TEST(IndexSerializationTest, TwoHopCorruptOffsetsRejected) {
-  constexpr uint32_t kMagic = 0x4d454c32;  // "MEL2"
   auto g = RandomGraph(3, 6, 10);
   struct Case {
     const char* name;
@@ -210,50 +242,31 @@ TEST(IndexSerializationTest, TwoHopCorruptOffsetsRejected) {
   };
   for (const Case& c : cases) {
     TempFile file("mel_2hop_corrupt.bin");
-    {
-      BinaryWriter writer(file.path());
-      writer.WriteU32(kMagic);
-      writer.WriteU32(2);  // version
-      writer.WriteU32(3);  // node count
-      writer.WriteU32(5);  // max hops
-      writer.WriteVector(c.in_offsets);
-      writer.WriteVector(std::vector<reach::TwoHopIndex::InLabel>{});
-      writer.WriteVector(std::vector<uint64_t>{0, 0, 0, 0});
-      writer.WriteVector(std::vector<reach::TwoHopIndex::OutSpan>{});
-      writer.WriteVector(std::vector<uint64_t>{0});
-      writer.WriteVector(std::vector<graph::NodeId>{});
-      ASSERT_TRUE(writer.Finish().ok());
-    }
+    TwoHopArenas arenas;
+    arenas.in_offsets = c.in_offsets;
+    WriteTwoHopMel3(file.path(), arenas);
     auto loaded = reach::TwoHopIndex::Load(file.path(), &g);
-    EXPECT_FALSE(loaded.ok()) << c.name;
+    ASSERT_FALSE(loaded.ok()) << c.name;
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
         << c.name;
+    EXPECT_NE(loaded.status().message().find("offsets"), std::string::npos)
+        << c.name << ": " << loaded.status().ToString();
   }
 }
 
 TEST(IndexSerializationTest, TwoHopOutOfRangeNodeIdRejected) {
-  constexpr uint32_t kMagic = 0x4d454c32;
   auto g = RandomGraph(3, 6, 10);
   TempFile file("mel_2hop_badnode.bin");
-  {
-    BinaryWriter writer(file.path());
-    writer.WriteU32(kMagic);
-    writer.WriteU32(2);
-    writer.WriteU32(3);
-    writer.WriteU32(5);
-    writer.WriteVector(std::vector<uint64_t>{0, 1, 1, 1});
-    // Node id 7 does not exist in a 3-node graph.
-    writer.WriteVector(
-        std::vector<reach::TwoHopIndex::InLabel>{{7, 1}});
-    writer.WriteVector(std::vector<uint64_t>{0, 0, 0, 0});
-    writer.WriteVector(std::vector<reach::TwoHopIndex::OutSpan>{});
-    writer.WriteVector(std::vector<uint64_t>{0});
-    writer.WriteVector(std::vector<graph::NodeId>{});
-    ASSERT_TRUE(writer.Finish().ok());
-  }
+  TwoHopArenas arenas;
+  arenas.in_offsets = {0, 1, 1, 1};
+  // Node id 7 does not exist in a 3-node graph.
+  arenas.in_entries = {{7, 1}};
+  WriteTwoHopMel3(file.path(), arenas);
   auto loaded = reach::TwoHopIndex::Load(file.path(), &g);
-  EXPECT_FALSE(loaded.ok());
+  ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("node id"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(IndexSerializationTest, DistanceLabelRoundTrip) {
@@ -284,7 +297,7 @@ TEST(IndexSerializationTest, DistanceLabelRejectsForeignFiles) {
   auto loaded = reach::DistanceLabelIndex::Load(file.path(), &g);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  // Truncation is caught by the reader's sticky status.
+  // Truncation is caught by the MEL3 file-size check.
   auto dli = reach::DistanceLabelIndex::Build(&g, 5);
   ASSERT_TRUE(dli.Save(file.path()).ok());
   auto size = std::filesystem::file_size(file.path());

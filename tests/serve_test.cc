@@ -452,6 +452,56 @@ TEST_F(ServeFixture, StopDrainsEveryAdmittedRequestAndFeedback) {
   EXPECT_EQ(late_feedback.get(), serve::kFeedbackRejected);
 }
 
+// ------------------------------------------------- malformed feedback
+
+// Feedback naming an id outside the KB or the social graph resolves to
+// kFeedbackRejected at admission: no barrier runs, the epoch stays put,
+// and the service keeps serving.
+void ExpectFeedbackRejectedAndStillServing(serve::LinkService& service,
+                                           kb::EntityId entity,
+                                           kb::UserId user,
+                                           const std::string& mention) {
+  kb::Tweet tweet;
+  tweet.id = 999200;
+  tweet.user = user;
+  tweet.time = kNow - 30;
+  EXPECT_EQ(service.SubmitFeedback(entity, tweet).get(),
+            serve::kFeedbackRejected);
+  EXPECT_EQ(service.epoch(), 0u);
+  serve::LinkRequest request;
+  request.mention = mention;
+  request.user = 1;
+  request.now = kNow;
+  const serve::LinkResponse response = service.LinkSync(request);
+  EXPECT_EQ(response.status, serve::ServeStatus::kOk);
+  EXPECT_EQ(response.epoch, 0u);
+  EXPECT_EQ(service.epoch(), 0u);
+}
+
+TEST_F(ServeFixture, FeedbackWithUnknownEntityRejected) {
+  core::EntityLinker linker =
+      harness_->MakeLinker(harness_->DefaultLinkerOptions());
+  serve::LinkService service(&linker, {});
+  ExpectFeedbackRejectedAndStillServing(
+      service, harness_->kb().num_entities(), /*user=*/0, AmbiguousSurface());
+  ExpectFeedbackRejectedAndStillServing(service, kb::kInvalidEntity,
+                                        /*user=*/0, AmbiguousSurface());
+}
+
+TEST_F(ServeFixture, FeedbackWithUnknownUserRejected) {
+  core::EntityLinker linker =
+      harness_->MakeLinker(harness_->DefaultLinkerOptions());
+  serve::LinkService service(&linker, {});
+  const kb::EntityId entity =
+      harness_->kb().Candidates(AmbiguousSurface()).front().entity;
+  ExpectFeedbackRejectedAndStillServing(
+      service, entity, harness_->world().social.graph.num_nodes(),
+      AmbiguousSurface());
+  ExpectFeedbackRejectedAndStillServing(service, entity,
+                                        kb::UserId{99999999u},
+                                        AmbiguousSurface());
+}
+
 TEST_F(ServeFixture, DestructorStopsCleanlyWithQueuedWork) {
   core::EntityLinker linker =
       harness_->MakeLinker(harness_->DefaultLinkerOptions());
