@@ -1,12 +1,12 @@
-// SIMD kernel A/B: the four vectorized hot loops (sorted-intersection
-// merge + gallop, 2-hop min-sum span walk, fuzzy-index probe scan,
-// dense-BFS frontier filter) timed with the scalar kernel table against
-// the runtime-dispatched table on the same operands.
+// SIMD kernel A/B: the vectorized hot loops (sorted-intersection merge
+// + gallop, fuzzy-index probe scan, dense-BFS frontier filter) timed
+// with the scalar kernel table against the runtime-dispatched table on
+// the same operands.
 //
 // Operands are workload-shaped, not synthetic best cases: intersection
 // runs over inlink lists of a generated knowledgebase biased toward
-// popular entities (the candidate sets WLM actually intersects),
-// min-sum runs over real TwoHopIndex label arrays, and the probe table
+// popular entities (the candidate sets WLM actually intersects), and
+// the probe table
 // mirrors SegmentFuzzyIndex's layout (power-of-two, 64-bit keys,
 // golden-ratio start slot, linear scan).
 //
@@ -30,9 +30,7 @@
 
 #include "gen/kb_generator.h"
 #include "graph/bfs.h"
-#include "gen/social_graph_generator.h"
 #include "kb/knowledgebase.h"
-#include "reach/two_hop_index.h"
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/serialize.h"
@@ -45,8 +43,6 @@ namespace {
 using mel::Rng;
 using mel::WallTimer;
 namespace simd = mel::util::simd;
-
-constexpr uint32_t kMaxHops = 5;
 
 struct KernelAb {
   const char* name = "";
@@ -162,74 +158,6 @@ KernelAb RunIntersectAb(const IntersectOperands& ops, bool gallop,
   return r;
 }
 
-// --- 2-hop min-sum span walk -----------------------------------------
-
-KernelAb RunMinSumAb(const mel::graph::DirectedGraph& g,
-                     const mel::reach::TwoHopIndex& two_hop,
-                     uint32_t num_pairs, uint32_t reps, Rng* rng,
-                     const simd::KernelTable& scalar,
-                     const simd::KernelTable& dispatched) {
-  const uint32_t n = g.num_nodes();
-  std::vector<std::pair<uint32_t, uint32_t>> pairs(num_pairs);
-  size_t max_outs = 1;
-  for (auto& p : pairs) {
-    p = {static_cast<uint32_t>(rng->Uniform(n)),
-         static_cast<uint32_t>(rng->Uniform(n))};
-    max_outs = std::max(max_outs, two_hop.out_labels(p.first).size());
-  }
-  std::vector<uint64_t> spans(max_outs), check(max_outs);
-
-  auto run = [&](const simd::KernelTable& t) {
-    uint64_t sum = 0;
-    for (const auto& [u, v] : pairs) {
-      const auto outs = two_hop.out_labels(u);
-      const auto ins = two_hop.in_labels(v);
-      size_t n_spans = 0;
-      sum += t.min_sum_spans(
-          reinterpret_cast<const uint64_t*>(outs.data()), outs.size(),
-          reinterpret_cast<const uint64_t*>(ins.data()), ins.size(),
-          mel::graph::kUnreachable, two_hop.out_offset(u), spans.data(),
-          &n_spans);
-      sum += n_spans;
-    }
-    return sum;
-  };
-  // Bit-identity on spans, not just the checksum, for one sample pair.
-  {
-    const auto [u, v] = pairs[0];
-    const auto outs = two_hop.out_labels(u);
-    const auto ins = two_hop.in_labels(v);
-    size_t ns = 0, nd = 0;
-    scalar.min_sum_spans(reinterpret_cast<const uint64_t*>(outs.data()),
-                         outs.size(),
-                         reinterpret_cast<const uint64_t*>(ins.data()),
-                         ins.size(), mel::graph::kUnreachable,
-                         two_hop.out_offset(u), check.data(), &ns);
-    dispatched.min_sum_spans(reinterpret_cast<const uint64_t*>(outs.data()),
-                             outs.size(),
-                             reinterpret_cast<const uint64_t*>(ins.data()),
-                             ins.size(), mel::graph::kUnreachable,
-                             two_hop.out_offset(u), spans.data(), &nd);
-    if (ns != nd || !std::equal(check.begin(), check.begin() + ns,
-                                spans.begin())) {
-      std::fprintf(stderr, "FAIL: min-sum kernel arms disagree\n");
-      std::abort();
-    }
-  }
-  if (run(scalar) != run(dispatched)) {
-    std::fprintf(stderr, "FAIL: min-sum checksum arms disagree\n");
-    std::abort();
-  }
-  KernelAb r;
-  r.name = "minsum";
-  r.ops = num_pairs;
-  volatile uint64_t sink = 0;
-  r.scalar_ns = TimeArm(reps, r.ops, [&] { sink = sink + run(scalar); });
-  r.dispatched_ns = TimeArm(reps, r.ops, [&] { sink = sink + run(dispatched); });
-  r.speedup = r.scalar_ns / r.dispatched_ns;
-  return r;
-}
-
 // --- fuzzy-index probe scan ------------------------------------------
 
 KernelAb RunProbeAb(uint32_t capacity_log2, uint32_t num_probes,
@@ -310,13 +238,14 @@ KernelAb RunFrontierAb(uint32_t num_nodes, uint32_t reps, Rng* rng,
   return r;
 }
 
-// Per-PR trajectory sidecar (schema v1; keys checked by verify.sh).
+// Trajectory sidecar (schema v2: the minsum_* keys are gone with the
+// min-sum kernel; keys checked by verify.sh).
 void WriteKernelsSidecar(const std::vector<KernelAb>& results, bool smoke) {
   std::ofstream sidecar("BENCH_kernels.json");
   mel::JsonWriter w(&sidecar);
   w.BeginObject();
   w.KeyValue("bench", std::string_view("kernels"));
-  w.KeyValue("schema_version", uint64_t{1});
+  w.KeyValue("schema_version", uint64_t{2});
   w.KeyValue("mode", std::string_view(smoke ? "smoke" : "full"));
   w.KeyValue("level",
              std::string_view(simd::LevelName(simd::ActiveLevel())));
@@ -363,12 +292,8 @@ int main(int argc, char** argv) {
   auto gen_kb = mel::gen::GenerateKnowledgebase(kopts);
   const auto& kb = gen_kb.knowledgebase;
 
-  mel::gen::SocialGenOptions sopts;
-  sopts.num_users = smoke ? 300 : 2000;
-  sopts.seed = 17;
-  auto social = mel::gen::GenerateSocialGraph(sopts);
-  auto two_hop =
-      mel::reach::TwoHopIndex::Build(&social.graph, kMaxHops);
+  // Frontier width of a BFS over a social graph of this many users.
+  const uint32_t num_users = smoke ? 300 : 2000;
 
   const uint32_t pairs = smoke ? 200 : 2000;
   const uint32_t reps = smoke ? 5 : 40;
@@ -381,12 +306,10 @@ int main(int argc, char** argv) {
   results.push_back(
       RunIntersectAb(intersect_ops, /*gallop=*/true, reps, scalar,
                      dispatched));
-  results.push_back(RunMinSumAb(social.graph, two_hop, pairs, reps, &rng,
-                                scalar, dispatched));
   results.push_back(RunProbeAb(smoke ? 10 : 14, pairs * 4, reps, &rng,
                                scalar, dispatched));
   results.push_back(
-      RunFrontierAb(sopts.num_users, reps * 2000, &rng, scalar,
+      RunFrontierAb(num_users, reps * 2000, &rng, scalar,
                     dispatched));
   for (const auto& r : results) PrintAb(r);
 

@@ -152,15 +152,13 @@ int main() {
       // SIMD kernel layer (docs/PERFORMANCE.md): active tier plus how
       // often each vectorized hot loop was dispatched.
       std::printf(
-          "  simd: tier=%s, %llu merges, %llu gallops, %llu min-sum "
-          "walks, %llu probes, %llu dense BFS levels\n",
+          "  simd: tier=%s, %llu merges, %llu gallops, %llu probes, "
+          "%llu dense BFS levels\n",
           util::simd::LevelName(util::simd::ActiveLevel()),
           static_cast<unsigned long long>(
               counter("util.simd.merge_dispatch_total")),
           static_cast<unsigned long long>(
               counter("util.simd.gallop_dispatch_total")),
-          static_cast<unsigned long long>(
-              counter("util.simd.minsum_dispatch_total")),
           static_cast<unsigned long long>(
               counter("util.simd.probe_dispatch_total")),
           static_cast<unsigned long long>(

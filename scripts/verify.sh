@@ -34,8 +34,9 @@
 # batch linker, the
 # serving loop (producers + feedback racing the dispatcher,
 # epoch-schedule replay, drain-on-shutdown), the metrics-export
-# concurrency test, the concurrent mapped-index query test, and the
-# differential concurrency tests (ConfirmLink
+# concurrency test, the concurrent mapped-index query test, the
+# one-to-many 2-hop walks (per-thread hub tables), and the differential
+# concurrency tests (ConfirmLink
 # epoch bumps racing the recency cache). Skip it (e.g. on machines
 # without TSan runtime support) with MEL_SKIP_TSAN=1.
 #
@@ -45,6 +46,11 @@
 # the same binary also runs under TSan in stage three with a reduced
 # case count. Override the ASan case count with MEL_DIFF_CASES (default
 # 400 here; 200 in plain ctest) or skip the stage with MEL_SKIP_DIFF=1.
+#
+# A fifth stage rebuilds under UndefinedBehaviorSanitizer with every
+# finding fatal (-fno-sanitize-recover=all) and runs the suites over the
+# SIMD kernels, the serializers and MEL3 mappings, the 2-hop query path
+# and the serving loop. Skip it with MEL_SKIP_UBSAN=1.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -108,8 +114,7 @@ required = {
     "BENCH_kernels.json": ("bench", "schema_version", "mode", "level",
                            "merge_scalar_ns", "merge_dispatched_ns",
                            "merge_speedup", "gallop_speedup",
-                           "minsum_speedup", "probe_speedup",
-                           "frontier_speedup"),
+                           "probe_speedup", "frontier_speedup"),
 }
 for name, keys in required.items():
     with open("build/bench/" + name) as f:
@@ -137,7 +142,7 @@ if [ "${MEL_SKIP_TSAN:-0}" != "1" ]; then
     extensions_test recency_test text_test differential_test \
     metrics_test serve_test mmap_test incremental_test
   (cd build-tsan && ctest --output-on-failure \
-    -R 'ThreadPool|Parallel|CachedReachability|DifferentialConcurrency|ServeFixture|ConcurrencyTest|MmapConcurrency|Incremental' -j)
+    -R 'ThreadPool|Parallel|CachedReachability|ScoreOnlyMany|DifferentialConcurrency|ServeFixture|ConcurrencyTest|MmapConcurrency|Incremental' -j)
   echo "=== TSan stage: reduced differential sweep (mutation shards included) ==="
   (cd build-tsan/tests && MEL_DIFF_CASES="${MEL_DIFF_CASES_TSAN:-40}" \
     ./differential_test --gtest_filter='DifferentialShards.Shard*:MutationSweep.Shard*')
@@ -150,4 +155,13 @@ if [ "${MEL_SKIP_DIFF:-0}" != "1" ]; then
   (cd build-asan/tests && ./mmap_test)
   (cd build-asan/tests && MEL_DIFF_CASES="${MEL_DIFF_CASES:-400}" \
     ./differential_test)
+fi
+
+if [ "${MEL_SKIP_UBSAN:-0}" != "1" ]; then
+  echo "=== UBSan stage: SIMD kernels + serializers + reach + serving ==="
+  cmake -B build-ubsan -S . -DMEL_SANITIZE=undefined
+  cmake --build build-ubsan -j --target reach_test simd_test \
+    serialize_test mmap_test serve_test
+  (cd build-ubsan && ctest --output-on-failure \
+    -L '^(reach_test|simd_test|serialize_test|mmap_test|serve_test)$' -j)
 fi

@@ -205,7 +205,7 @@ void EntityLinker::ConfirmLink(kb::EntityId entity, const kb::Tweet& tweet) {
 
 bool EntityLinker::IsValidFeedback(kb::EntityId entity,
                                    kb::UserId user) const {
-  return entity < kb_->num_entities() && user < num_users_;
+  return entity < kb_->num_entities() && IsValidUser(user);
 }
 
 void EntityLinker::WarmUp() {

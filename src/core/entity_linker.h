@@ -135,6 +135,11 @@ class EntityLinker {
   /// would later index past the reachability backend.
   bool IsValidFeedback(kb::EntityId entity, kb::UserId user) const;
 
+  /// True when `user` is a node of the social graph, i.e. a valid author
+  /// for LinkMention. Requests from outside the process must pass this
+  /// first: the reachability backend indexes per-user state with it.
+  bool IsValidUser(kb::UserId user) const { return user < num_users_; }
+
   /// Materializes all lazily computed shared state (influential-user
   /// cache, posting-list sort order). After WarmUp — and until the next
   /// ConfirmLink — LinkMention and LinkTweet are safe to call from
@@ -151,8 +156,9 @@ class EntityLinker {
   const kb::Knowledgebase* kb_;
   kb::ComplementedKnowledgebase* ckb_;
   // Social-graph node count, read once: graph mutations never add nodes,
-  // and caching it keeps IsValidFeedback off the reachability backend,
-  // which a serving barrier may be rebuilding concurrently.
+  // and caching it keeps IsValidFeedback / IsValidUser off the
+  // reachability backend, which a serving barrier may be rebuilding
+  // concurrently.
   uint32_t num_users_;
   LinkerOptions options_;
   CandidateGenerator candidate_generator_;

@@ -1,7 +1,8 @@
 #include "reach/two_hop_index.h"
 
 #include <algorithm>
-#include <bit>
+#include <limits>
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -10,7 +11,6 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/serialize.h"
-#include "util/simd/simd.h"
 #include "util/sorted_intersect.h"
 
 namespace mel::reach {
@@ -51,12 +51,26 @@ const TwoHopMetrics& GetTwoHopMetrics() {
 const TwoHopMetrics& g_twohop_metrics = GetTwoHopMetrics();
 const ScoreOnlyMetrics& g_scoreonly_metrics = GetScoreOnlyMetrics();
 
-/// Per-thread query scratch: contributing-span indices, k-way merge
-/// cursors, and an epoch-marked seen array for union counting. Reused
-/// across queries so the steady-state hot path never allocates (vectors
-/// keep their capacity between calls).
+/// Slot of the dense hub table: the walk source's distance to hub w and
+/// the position of that out-label within out_labels(source). Unset
+/// slots hold {kInf, kNoSpan}; the degenerate hub w = source holds
+/// {0, kNoSpan}, a distance with no followee span.
+struct HubSlot {
+  uint32_t dist;
+  uint32_t pos;
+};
+constexpr uint32_t kNoSpan = std::numeric_limits<uint32_t>::max();
+constexpr HubSlot kUnsetSlot = {kInf, kNoSpan};
+
+/// Per-thread query scratch: the dense hub table of the one-to-many
+/// walk, contributing-span indices, k-way merge cursors, and an
+/// epoch-marked seen array for union counting. Reused across queries so
+/// the steady-state hot path never allocates (vectors keep their
+/// capacity between calls).
 struct QueryScratch {
-  std::vector<uint64_t> spans;
+  std::vector<HubSlot> hubs;  // all kUnsetSlot whenever no walk is open
+  bool walk_open = false;
+  std::vector<uint64_t> spans;  // buffer; HubWalk::CollectSpans sizes it
   std::vector<uint64_t> cursors;
   std::vector<uint32_t> seen;
   uint32_t seen_epoch = 0;
@@ -66,6 +80,105 @@ QueryScratch& TlsQueryScratch() {
   thread_local QueryScratch scratch;
   return scratch;
 }
+
+/// \brief One-to-many 2-hop query from a fixed source u (the pruned-
+/// landmark-labeling one-to-many query, Akiba et al., SIGMOD 2013).
+///
+/// The constructor scatters L_out(u) into the thread's dense hub table;
+/// each target v then costs one scan of L_in(v) — a branchless pass for
+/// d_uv and, when the score needs |F_uv|, a second pass collecting the
+/// hubs that achieve it. The destructor resets exactly the slots the
+/// constructor set, so the table is all-unset between walks and serves
+/// every index the thread queries, whatever its node count. At most one
+/// walk per thread is open at a time.
+class HubWalk {
+ public:
+  HubWalk(const TwoHopIndex& index, NodeId u, uint32_t max_hops,
+          QueryScratch& scratch)
+      : index_(index),
+        u_(u),
+        max_hops_(max_hops),
+        outs_(index.out_labels(u)),
+        base_(index.out_offset(u)),
+        scratch_(scratch),
+        unrecorded_scatter_(outs_.size()) {
+    const uint32_t n = index.num_nodes();
+    MEL_CHECK(u < n);
+    MEL_CHECK(!scratch.walk_open);
+    scratch.walk_open = true;
+    if (scratch.hubs.size() < n) scratch.hubs.resize(n, kUnsetSlot);
+    hubs_ = scratch.hubs.data();
+    for (uint32_t i = 0; i < outs_.size(); ++i) {
+      hubs_[outs_[i].node] = HubSlot{outs_[i].dist, i};
+    }
+    // L_out(u) never lists u itself, so this cannot clobber a span.
+    hubs_[u] = HubSlot{0, kNoSpan};
+  }
+
+  ~HubWalk() {
+    for (const TwoHopIndex::OutSpan& o : outs_) hubs_[o.node] = kUnsetSlot;
+    hubs_[u_] = kUnsetSlot;
+    scratch_.walk_open = false;
+  }
+
+  HubWalk(const HubWalk&) = delete;
+  HubWalk& operator=(const HubWalk&) = delete;
+
+  /// d_uv for v != u, or kInf when v is not reachable within the hop
+  /// bound. Every hub of L_in(v) meets the table (the degenerate hub
+  /// w = u sits in it with distance 0); the degenerate hub w = v is
+  /// v's own slot, since L_in(v) never lists v.
+  uint32_t MinDistance(NodeId v) {
+    const auto ins = index_.in_labels(v);
+    if (metrics::Enabled()) {
+      // The scatter is charged to the first target, so the histogram's
+      // sum is every label entry read and its count the pairs answered.
+      g_twohop_metrics.labels_scanned->Record(ins.size() +
+                                              unrecorded_scatter_);
+      unrecorded_scatter_ = 0;
+    }
+    // 64-bit sums: an unset slot's kInf plus a label distance must not
+    // wrap into a small distance.
+    uint64_t best = hubs_[v].dist;
+    for (const TwoHopIndex::InLabel& l : ins) {
+      best = std::min(best, uint64_t{hubs_[l.node].dist} + l.dist);
+    }
+    return best > max_hops_ ? kInf : static_cast<uint32_t>(best);
+  }
+
+  /// The GLOBAL out-entry indices of every hub that achieves `dmin` =
+  /// MinDistance(v) (Theorem 2), in ascending entry order except that
+  /// the degenerate hub w = v, if it qualifies, comes last. A view into
+  /// the thread's span buffer, valid until the next CollectSpans.
+  std::span<const uint64_t> CollectSpans(NodeId v, uint32_t dmin) {
+    const auto ins = index_.in_labels(v);
+    std::vector<uint64_t>& buffer = scratch_.spans;
+    if (buffer.size() < ins.size() + 1) buffer.resize(ins.size() + 1);
+    uint64_t* spans = buffer.data();
+    // Branchless: every label writes the next slot and only a meeting
+    // hub at dmin advances past it — whether a hub qualifies is data-
+    // dependent, and a branch on it mispredicts a large share of labels.
+    size_t n = 0;
+    for (const TwoHopIndex::InLabel& l : ins) {
+      const HubSlot slot = hubs_[l.node];
+      spans[n] = base_ + slot.pos;
+      n += (slot.pos != kNoSpan) & (uint64_t{slot.dist} + l.dist == dmin);
+    }
+    spans[n] = base_ + hubs_[v].pos;
+    n += hubs_[v].dist == dmin;
+    return {spans, n};
+  }
+
+ private:
+  const TwoHopIndex& index_;
+  const NodeId u_;
+  const uint32_t max_hops_;
+  const std::span<const TwoHopIndex::OutSpan> outs_;
+  const uint64_t base_;
+  QueryScratch& scratch_;
+  HubSlot* hubs_;
+  uint64_t unrecorded_scatter_;
+};
 
 }  // namespace
 
@@ -303,74 +416,6 @@ void TwoHopIndex::ProcessLandmarkForward(NodeId landmark,
   for (const auto& [node, len] : queue) in_queue[node] = 0;
 }
 
-uint32_t TwoHopIndex::CollectMinDistanceSpans(
-    NodeId u, NodeId v, std::vector<uint64_t>& spans) const {
-  spans.clear();
-  const auto outs = out_labels(u);
-  const auto ins = in_labels(v);
-  if (metrics::Enabled()) {
-    g_twohop_metrics.labels_scanned->Record(outs.size() + ins.size());
-  }
-
-  // Degenerate hub w = u as an entry of L_in(v): contributes a distance
-  // but no out-entry span. Labels are sorted by hub node, so it — and
-  // the w = v entry below — are binary searches, not linear scans.
-  // Seeding dmin with it first lets the main walk run the running-min
-  // collection without ever re-filtering.
-  uint32_t dmin = kInf;
-  {
-    auto it = std::lower_bound(
-        ins.begin(), ins.end(), u,
-        [](const InLabel& l, NodeId x) { return l.node < x; });
-    if (it != ins.end() && it->node == u) dmin = it->dist;
-  }
-
-  // Single fused walk over both sorted label lists (the old layout
-  // needed two passes — min, then collect — because labels lived in
-  // per-node vectors). Spans are collected against the running minimum:
-  // a strictly smaller distance resets the list, an equal one appends,
-  // so at the end `spans` holds exactly the hubs achieving dmin
-  // (Theorem 2) in walk order. The walk itself is the dispatched
-  // min-sum kernel: both label structs are exactly a little-endian
-  // (node lo32, dist hi32) u64 word, so the arenas reinterpret as the
-  // packed layout the kernel wants with no copy.
-  static_assert(sizeof(InLabel) == 8 && sizeof(OutSpan) == 8);
-  static_assert(offsetof(InLabel, node) == 0 && offsetof(InLabel, dist) == 4);
-  static_assert(offsetof(OutSpan, node) == 0 && offsetof(OutSpan, dist) == 4);
-  static_assert(std::endian::native == std::endian::little,
-                "packed u64 label view assumes little-endian");
-  const uint64_t base = out_offsets_[u];
-  {
-    spans.resize(outs.size());
-    size_t n_spans = 0;
-    dmin = util::simd::MinSumSpansU64(
-        reinterpret_cast<const uint64_t*>(outs.data()), outs.size(),
-        reinterpret_cast<const uint64_t*>(ins.data()), ins.size(), dmin,
-        base, spans.data(), &n_spans);
-    spans.resize(n_spans);
-  }
-  // Degenerate hub w = v as an entry of L_out(u). L_in(v) never lists v
-  // itself, so this entry cannot also have matched the intersection
-  // above — no duplicate span indices.
-  {
-    auto it = std::lower_bound(
-        outs.begin(), outs.end(), v,
-        [](const OutSpan& o, NodeId x) { return o.node < x; });
-    if (it != outs.end() && it->node == v && it->dist <= dmin) {
-      if (it->dist < dmin) {
-        dmin = it->dist;
-        spans.clear();
-      }
-      spans.push_back(base + static_cast<uint64_t>(it - outs.begin()));
-    }
-  }
-  if (dmin == kInf || dmin > max_hops_) {
-    spans.clear();
-    return kInf;
-  }
-  return dmin;
-}
-
 ReachQueryResult TwoHopIndex::Query(NodeId u, NodeId v) const {
   const TwoHopMetrics& hm = g_twohop_metrics;
   hm.lookups->Increment();
@@ -380,14 +425,14 @@ ReachQueryResult TwoHopIndex::Query(NodeId u, NodeId v) const {
     return result;
   }
   QueryScratch& scratch = TlsQueryScratch();
-  const uint32_t dmin = CollectMinDistanceSpans(u, v, scratch.spans);
+  HubWalk walk(*this, u, max_hops_, scratch);
+  const uint32_t dmin = walk.MinDistance(v);
   if (dmin == kInf) {
     hm.unreachable->Increment();
     return result;
   }
   result.distance = dmin;
-
-  const auto& spans = scratch.spans;
+  const std::span<const uint64_t> spans = walk.CollectSpans(v, dmin);
   if (spans.empty()) return result;
   if (spans.size() == 1) {
     // Followees of one label are already sorted and duplicate-free.
@@ -426,9 +471,9 @@ namespace {
 /// merge/gallop kernel shared with the WLM inlink intersection; more
 /// spans mark an epoch-versioned seen array — O(1) per element instead
 /// of a k-way comparison per emitted node.
-uint32_t CountSpanUnion(const TwoHopIndex& index, QueryScratch& scratch,
-                        uint32_t num_nodes) {
-  const auto& spans = scratch.spans;
+uint32_t CountSpanUnion(const TwoHopIndex& index,
+                        std::span<const uint64_t> spans,
+                        QueryScratch& scratch, uint32_t num_nodes) {
   if (spans.empty()) return 0;
   if (spans.size() == 1) {
     return static_cast<uint32_t>(index.followees(spans[0]).size());
@@ -468,14 +513,15 @@ ReachCountResult TwoHopIndex::CountQuery(NodeId u, NodeId v) const {
     return result;
   }
   QueryScratch& scratch = TlsQueryScratch();
-  const uint32_t dmin = CollectMinDistanceSpans(u, v, scratch.spans);
+  HubWalk walk(*this, u, max_hops_, scratch);
+  const uint32_t dmin = walk.MinDistance(v);
   if (dmin == kInf) {
     sm.unreachable->Increment();
     return result;
   }
   result.distance = dmin;
-  result.followee_count =
-      CountSpanUnion(*this, scratch, g_->num_nodes());
+  result.followee_count = CountSpanUnion(
+      *this, walk.CollectSpans(v, dmin), scratch, g_->num_nodes());
   return result;
 }
 
@@ -484,23 +530,46 @@ double TwoHopIndex::Score(NodeId u, NodeId v) const {
 }
 
 double TwoHopIndex::ScoreOnly(NodeId u, NodeId v) const {
+  double score;
+  TwoHopIndex::ScoreOnlyMany(u, std::span<const NodeId>(&v, 1), &score);
+  return score;
+}
+
+void TwoHopIndex::ScoreOnlyMany(NodeId u, std::span<const NodeId> vs,
+                                double* out) const {
+  if (vs.empty()) return;
   const ScoreOnlyMetrics& sm = g_scoreonly_metrics;
-  sm.lookups->Increment();
-  if (u == v) return 1.0;
+  sm.lookups->Increment(vs.size());
   QueryScratch& scratch = TlsQueryScratch();
-  const uint32_t dmin = CollectMinDistanceSpans(u, v, scratch.spans);
-  if (dmin == kInf) {
-    sm.unreachable->Increment();
-    return 0.0;
-  }
-  // Eq. 4 ignores the followee count at distance 1 and for sink users,
-  // so the union is only ever counted when it contributes to the score.
-  if (dmin == 1) return 1.0;
+  HubWalk walk(*this, u, max_hops_, scratch);
   const uint32_t out_degree = g_->OutDegree(u);
-  if (out_degree == 0) return 0.0;
-  return WeightedScoreFromCount(
-      dmin, CountSpanUnion(*this, scratch, g_->num_nodes()), out_degree,
-      /*same_node=*/false);
+  for (size_t i = 0; i < vs.size(); ++i) {
+    const NodeId v = vs[i];
+    if (v == u) {
+      out[i] = 1.0;
+      continue;
+    }
+    const uint32_t dmin = walk.MinDistance(v);
+    if (dmin == kInf) {
+      sm.unreachable->Increment();
+      out[i] = 0.0;
+      continue;
+    }
+    // Eq. 4 ignores the followee count at distance 1 and for sink users,
+    // so the union is only ever counted when it contributes to the score.
+    if (dmin == 1) {
+      out[i] = 1.0;
+      continue;
+    }
+    if (out_degree == 0) {
+      out[i] = 0.0;
+      continue;
+    }
+    const uint32_t count = CountSpanUnion(
+        *this, walk.CollectSpans(v, dmin), scratch, g_->num_nodes());
+    out[i] = WeightedScoreFromCount(dmin, count, out_degree,
+                                    /*same_node=*/false);
+  }
 }
 
 uint64_t TwoHopIndex::TotalLabelEntries() const {
@@ -548,9 +617,9 @@ void TwoHopIndex::PatchInsertedEdge(const MutationContext& ctx) {
     }
   }
 
-  std::vector<uint64_t> span_scratch;
+  QueryScratch& scratch = TlsQueryScratch();
   auto old_dist = [&](NodeId s, NodeId t) -> uint32_t {
-    return s == t ? 0 : CollectMinDistanceSpans(s, t, span_scratch);
+    return s == t ? 0 : HubWalk(*this, s, max_hops_, scratch).MinDistance(t);
   };
   auto through = [&](NodeId s, NodeId t) -> uint32_t {
     if (to_u[s] == kInf || from_v[t] == kInf) return kInf;

@@ -37,8 +37,10 @@ namespace mel::reach {
 /// prefix offsets — no per-label heap vectors. An out-label is the span
 /// record (node, dist) in `out_entries_` plus the half-open followee
 /// range [followee_offsets_[i], followee_offsets_[i+1]) into the id
-/// arena. Queries intersect spans in place; the count-only path
-/// (CountQuery/ScoreOnly) never materializes F_uv at all.
+/// arena. A query scatters the source's out-labels into a per-thread
+/// dense hub table and scans only the target's in-labels (one-to-many:
+/// ScoreOnlyMany scatters once for all its targets); the count-only
+/// path (CountQuery/ScoreOnly) never materializes F_uv at all.
 class TwoHopIndex : public WeightedReachability {
  public:
   struct InLabel {
@@ -71,6 +73,10 @@ class TwoHopIndex : public WeightedReachability {
   ReachQueryResult Query(NodeId u, NodeId v) const override;
   ReachCountResult CountQuery(NodeId u, NodeId v) const override;
   double ScoreOnly(NodeId u, NodeId v) const override;
+  /// Scatters L_out(u) once and answers every target from its in-labels
+  /// alone; bitwise equal to per-pair ScoreOnly.
+  void ScoreOnlyMany(NodeId u, std::span<const NodeId> vs,
+                     double* out) const override;
   uint64_t IndexSizeBytes() const override;
   const char* Name() const override { return "2-hop-cover"; }
   uint32_t num_nodes() const override { return g_->num_nodes(); }
@@ -191,12 +197,6 @@ class TwoHopIndex : public WeightedReachability {
 
   /// Publishes reach.arena.* gauges for this index's arenas.
   void PublishArenaMetrics() const;
-
-  /// Pass 1 + hub collection: returns d_uv (kUnreachableDistance when
-  /// none) and fills `spans` with the GLOBAL out-entry indices of every
-  /// hub achieving it, in ascending entry order.
-  uint32_t CollectMinDistanceSpans(NodeId u, NodeId v,
-                                   std::vector<uint64_t>& spans) const;
 
   /// Structural validation shared by every load path: offsets arrays
   /// must be monotone prefix sums covering their arenas. Content (node

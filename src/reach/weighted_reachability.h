@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "graph/directed_graph.h"
@@ -127,6 +128,16 @@ class WeightedReachability {
   /// every backend (both funnel through WeightedScoreFromCount); the
   /// default simply forwards so existing subclasses stay correct.
   virtual double ScoreOnly(NodeId u, NodeId v) const { return Score(u, v); }
+
+  /// One-to-many ScoreOnly: out[i] = ScoreOnly(u, vs[i]) for every i,
+  /// bitwise (`out` has room for vs.size() scores). Eq. 8 asks this for
+  /// one author against all influencers of a candidate. The default
+  /// loops over ScoreOnly; the 2-hop cover overrides it to do the
+  /// source half of its label walk once.
+  virtual void ScoreOnlyMany(NodeId u, std::span<const NodeId> vs,
+                             double* out) const {
+    for (size_t i = 0; i < vs.size(); ++i) out[i] = ScoreOnly(u, vs[i]);
+  }
 
   /// Reacts to a graph mutation that has ALREADY been applied to the
   /// underlying graph. Implementations either patch their index in

@@ -30,6 +30,7 @@ struct ServeMetrics {
   metrics::Counter* responses;
   metrics::Counter* deadline_expired;
   metrics::Counter* shutdown_rejected;
+  metrics::Counter* invalid_rejected;
   metrics::Counter* batches;
   metrics::Counter* feedback;
   metrics::Counter* mutations;
@@ -54,6 +55,7 @@ const ServeMetrics& GetServeMetrics() {
     sm.responses = reg.GetCounter("serve.responses_total");
     sm.deadline_expired = reg.GetCounter("serve.deadline_expired_total");
     sm.shutdown_rejected = reg.GetCounter("serve.shutdown_rejected_total");
+    sm.invalid_rejected = reg.GetCounter("serve.invalid_rejected_total");
     sm.batches = reg.GetCounter("serve.batches_total");
     sm.feedback = reg.GetCounter("serve.feedback_total");
     sm.mutations = reg.GetCounter("serve.mutations_total");
@@ -90,6 +92,7 @@ const char* ServeStatusName(ServeStatus status) {
     case ServeStatus::kOverloaded: return "overloaded";
     case ServeStatus::kDeadlineExpired: return "deadline_expired";
     case ServeStatus::kShutdown: return "shutdown";
+    case ServeStatus::kInvalidRequest: return "invalid_request";
   }
   return "unknown";
 }
@@ -134,6 +137,13 @@ std::future<LinkResponse> LinkService::Submit(LinkRequest request) {
   if (stopped_.load(std::memory_order_acquire)) {
     sm.shutdown_rejected->Increment();
     reject(ServeStatus::kShutdown);
+    return future;
+  }
+  // The reachability walk indexes per-user tables with the author id;
+  // an id outside the graph must never reach a batch.
+  if (!linker_->IsValidUser(pending.request.user)) {
+    sm.invalid_rejected->Increment();
+    reject(ServeStatus::kInvalidRequest);
     return future;
   }
 

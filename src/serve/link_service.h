@@ -85,7 +85,8 @@ class LinkService {
   LinkService& operator=(const LinkService&) = delete;
 
   /// Submits one link request; the future resolves with the terminal
-  /// outcome (kOk result, or kOverloaded / kDeadlineExpired / kShutdown).
+  /// outcome (kOk result, or kOverloaded / kDeadlineExpired / kShutdown,
+  /// or kInvalidRequest when the author is not a social-graph user).
   /// Under kBlock (and kDeadline, up to the deadline) this call blocks
   /// while the queue is at capacity — that is the backpressure.
   std::future<LinkResponse> Submit(LinkRequest request);

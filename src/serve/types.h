@@ -38,6 +38,9 @@ enum class ServeStatus : uint8_t {
   kDeadlineExpired,
   /// Submitted after Stop() — never admitted.
   kShutdown,
+  /// Rejected at admission: the request names a user outside the social
+  /// graph (EntityLinker::IsValidUser). Never queued or linked.
+  kInvalidRequest,
 };
 
 const char* ServeStatusName(ServeStatus status);

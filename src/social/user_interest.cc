@@ -1,5 +1,7 @@
 #include "social/user_interest.h"
 
+#include <vector>
+
 #include "util/logging.h"
 
 namespace mel::social {
@@ -22,12 +24,20 @@ double UserInterestScorer::Interest(
 double UserInterestScorer::InterestOver(
     kb::UserId u, std::span<const InfluentialUser> influential) const {
   if (influential.empty()) return 0;
+  // Eq. 4 only divides |F_uv|, so the count-only path suffices; one
+  // ScoreOnlyMany call lets the backend share the author's half of the
+  // query across all influencers. Per-thread buffers keep the linker's
+  // hot path allocation-free.
+  thread_local std::vector<reach::NodeId> users;
+  thread_local std::vector<double> scores;
+  users.clear();
+  for (const InfluentialUser& v : influential) users.push_back(v.user);
+  scores.resize(users.size());
+  reach_->ScoreOnlyMany(u, users, scores.data());
+  // Summed in influencer order: S_in must stay bit-identical to a
+  // per-pair ScoreOnly loop.
   double total = 0;
-  for (const InfluentialUser& v : influential) {
-    // Eq. 4 only divides |F_uv|, so the count-only fast path suffices;
-    // ScoreOnly is bitwise-equal to Score on every backend.
-    total += reach_->ScoreOnly(u, v.user);
-  }
+  for (double s : scores) total += s;
   return total / static_cast<double>(influential.size());
 }
 

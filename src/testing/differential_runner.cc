@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 
 #include "core/entity_linker.h"
@@ -47,6 +48,7 @@ enum SeedStream : uint64_t {
   kPrunedBuildStream = 36,
   kMutationCheckStream = 37,
   kSimdKernelStream = 38,
+  kOneToManyStream = 39,
 };
 
 struct DiffMetrics {
@@ -126,6 +128,44 @@ std::string DescribeRanked(const core::MentionLinkResult& r) {
 // ---------------------------------------------------------------------------
 // Reachability
 // ---------------------------------------------------------------------------
+
+/// A backend under test and the name its divergences are reported as.
+struct NamedBackend {
+  const char* name;
+  const reach::WeightedReachability* backend;
+  double tol;  // 0 = bitwise equal to the oracle
+};
+
+/// One-to-many check: ScoreOnlyMany(u, vs) for a random author u and a
+/// target list holding u itself, up to 16 random targets and a repeat,
+/// against the forward-BFS oracle score of every target.
+void CheckScoreOnlyMany(const graph::DirectedGraph& g, uint32_t max_hops,
+                        std::span<const NamedBackend> backends,
+                        const std::string& at, Rng& rng, Recorder& rec) {
+  const uint32_t n = g.num_nodes();
+  const auto u = static_cast<graph::NodeId>(rng.Uniform(n));
+  std::vector<graph::NodeId> vs = {u};
+  for (uint64_t k = 1 + rng.Uniform(16); k > 0; --k) {
+    vs.push_back(static_cast<graph::NodeId>(rng.Uniform(n)));
+  }
+  vs.push_back(vs[rng.Uniform(vs.size())]);
+  std::vector<double> want(vs.size()), got(vs.size());
+  for (size_t j = 0; j < vs.size(); ++j) {
+    want[j] = OracleReachScore(g, u, vs[j], max_hops);
+  }
+  for (const NamedBackend& b : backends) {
+    b.backend->ScoreOnlyMany(u, vs, got.data());
+    for (size_t j = 0; j < vs.size(); ++j) {
+      const bool ok = Near(got[j], want[j], b.tol);
+      rec.Check(ok, ok ? std::string()
+                       : std::string(b.name) + "-score-only-many-mismatch" +
+                             at + " u=" + std::to_string(u) + " v=" +
+                             std::to_string(vs[j]) + " got " +
+                             std::to_string(got[j]) + " oracle " +
+                             std::to_string(want[j]));
+    }
+  }
+}
 
 void CheckReachability(const RandomWorkload& w, const DiffOptions& opts,
                        Recorder& rec) {
@@ -264,6 +304,21 @@ void CheckReachability(const RandomWorkload& w, const DiffOptions& opts,
                   DescribeQueryResult(oracle_q));
     rec.Check(tc_inc.ScoreOnly(u, v) == tc_inc.Score(u, v),
               "tc-score-only-mismatch" + where);
+  }
+
+  const NamedBackend one_to_many[] = {
+      {"naive", &naive, 0},
+      {"two-hop", &two_hop, 0},
+      {"two-hop-mmap", &two_hop_mapped, 0},
+      {"dist-label", &dli, 0},
+      {"dist-label-mmap", &dli_mapped, 0},
+      {"pruned-online", &pruned, 0},
+      {"cached", &cached, 0},
+      {"tc", &tc_inc, kFloatTol},
+  };
+  Rng many_rng(DeriveSeed(w.seed, kOneToManyStream));
+  for (uint32_t i = 0; i < opts.reach_pair_samples / 8 && !rec.full(); ++i) {
+    CheckScoreOnlyMany(g, w.max_hops, one_to_many, "", many_rng, rec);
   }
 
   // Unlink the round-trip files; the live mappings keep their pages.
@@ -760,6 +815,9 @@ void CheckIncrementalMaintenance(const RandomWorkload& w,
 
   const uint32_t n = live.num_nodes();
   Rng rng(DeriveSeed(w.seed, kMutationCheckStream));
+  // Separate stream, so the one-to-many checks leave the pair samples
+  // and checkpoint draws above exactly as they were.
+  Rng many_rng(DeriveSeed(w.seed, kOneToManyStream));
   auto sample_pair = [&](graph::NodeId* u, graph::NodeId* v) {
     *u = static_cast<graph::NodeId>(rng.Uniform(n));
     const uint64_t kind = rng.Uniform(8);
@@ -879,6 +937,14 @@ void CheckIncrementalMaintenance(const RandomWorkload& w,
       check("cached", cached);
       check("cached-hit", cached);
     }
+    const NamedBackend one_to_many[] = {
+        {"two-hop-patch", &two_hop, 0},
+        {"two-hop-fresh", &two_hop_fresh, 0},
+        {"dist-label-patch", &dli, 0},
+        {"pruned-online-patch", &pruned, 0},
+        {"cached-patch", &cached, 0},
+    };
+    CheckScoreOnlyMany(live, w.max_hops, one_to_many, at, many_rng, rec);
 
     // Burst counter vs the dense replay oracle, probed at query times
     // and just after the newest ingested post.
@@ -912,9 +978,9 @@ void CheckIncrementalMaintenance(const RandomWorkload& w,
 
 /// Replays every vectorized kernel tier the host+build supports against
 /// the scalar table on workload-derived operands — real WLM inlink
-/// lists, real 2-hop label arrays — plus synthesized probe tables and
-/// frontier words. This is the vectorized/scalar half of the oracle
-/// sweep the kernels' bit-identity contract promises (simd_types.h).
+/// lists — plus synthesized probe tables and frontier words. This is the
+/// vectorized/scalar half of the oracle sweep the kernels' bit-identity
+/// contract promises (simd_types.h).
 void CheckSimdKernels(const RandomWorkload& w, const DiffOptions& opts,
                       Recorder& rec) {
   namespace simd = util::simd;
@@ -927,8 +993,6 @@ void CheckSimdKernels(const RandomWorkload& w, const DiffOptions& opts,
 
   Rng rng(DeriveSeed(w.seed, kSimdKernelStream));
   const kb::Knowledgebase& kb = w.world.kb();
-  const graph::DirectedGraph& g = w.world.social.graph;
-  auto two_hop = reach::TwoHopIndex::Build(&g, w.max_hops);
 
   // Intersection kernels on real inlink lists (the WLM operand shape).
   for (uint32_t i = 0; i < opts.wlm_pair_samples && !rec.full(); ++i) {
@@ -952,39 +1016,6 @@ void CheckSimdKernels(const RandomWorkload& w, const DiffOptions& opts,
                 std::string("simd-gallop-mismatch level=") +
                     simd::LevelName(l) + " a=" + std::to_string(a) +
                     " b=" + std::to_string(b));
-    }
-  }
-
-  // Min-sum span kernel on real 2-hop label arrays.
-  const uint32_t n = g.num_nodes();
-  std::vector<uint64_t> want_spans, got_spans;
-  for (uint32_t i = 0; i < opts.reach_pair_samples && !rec.full(); ++i) {
-    const auto u = static_cast<graph::NodeId>(rng.Uniform(n));
-    const auto v = static_cast<graph::NodeId>(rng.Uniform(n));
-    const auto outs = two_hop.out_labels(u);
-    const auto ins = two_hop.in_labels(v);
-    const auto* outs64 = reinterpret_cast<const uint64_t*>(outs.data());
-    const auto* ins64 = reinterpret_cast<const uint64_t*>(ins.data());
-    const uint32_t seed = static_cast<uint32_t>(rng.Uniform(6));
-    const uint64_t base = two_hop.out_offset(u);
-    want_spans.resize(outs.size());
-    got_spans.resize(outs.size());
-    size_t want_n = 0, got_n = 0;
-    const uint32_t want_dmin =
-        scalar.min_sum_spans(outs64, outs.size(), ins64, ins.size(), seed,
-                             base, want_spans.data(), &want_n);
-    for (simd::Level l : vec_levels) {
-      const uint32_t got_dmin = simd::KernelsFor(l).min_sum_spans(
-          outs64, outs.size(), ins64, ins.size(), seed, base,
-          got_spans.data(), &got_n);
-      rec.Check(got_dmin == want_dmin && got_n == want_n &&
-                    std::equal(want_spans.begin(),
-                               want_spans.begin() +
-                                   static_cast<ptrdiff_t>(want_n),
-                               got_spans.begin()),
-                std::string("simd-minsum-mismatch level=") +
-                    simd::LevelName(l) + " u=" + std::to_string(u) +
-                    " v=" + std::to_string(v));
     }
   }
 

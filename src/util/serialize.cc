@@ -1,9 +1,15 @@
 #include "util/serialize.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 namespace mel {
 
@@ -163,6 +169,19 @@ std::vector<uint8_t> HeaderAndTableBytes(
   return bytes;
 }
 
+/// fsync(2) of a file or directory by path.
+Status FsyncPath(const std::string& path, int extra_flags) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | extra_flags);
+  const bool ok = fd >= 0 && ::fsync(fd) == 0;
+  const int err = errno;
+  if (fd >= 0) ::close(fd);
+  if (!ok) {
+    return Status::Internal("fsync failed: " + path + ": " +
+                            std::strerror(err));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status WriteMel3File(const std::string& path, uint32_t inner_magic,
@@ -203,7 +222,15 @@ Status WriteMel3File(const std::string& path, uint32_t inner_magic,
       HeaderAndTableBytes(header, table).data(),
       sizeof(Mel3Header) + table.size() * sizeof(Mel3BlockRecord));
 
-  BinaryWriter writer(path);
+  // Atomic republish: the bytes go to a temp file in the target's
+  // directory, which is fsynced and then renamed over the target. A
+  // reader that mapped the old file keeps its inode and pages (rewriting
+  // in place would truncate them under it: SIGBUS on the next fault),
+  // and a crash leaves the old file or the new one, never a torn mix.
+  static std::atomic<uint64_t> temp_seq{0};
+  const std::string temp = path + ".tmp." + std::to_string(::getpid()) +
+                           "." + std::to_string(temp_seq.fetch_add(1));
+  BinaryWriter writer(temp);
   writer.WriteBytes(&header, sizeof(header));
   if (!table.empty()) {
     writer.WriteBytes(table.data(),
@@ -217,7 +244,19 @@ Status WriteMel3File(const std::string& path, uint32_t inner_magic,
     }
   }
   writer.PadTo(header.file_size);
-  return writer.Finish();
+  Status status = writer.Finish();
+  if (status.ok()) status = FsyncPath(temp, 0);
+  if (status.ok() && std::rename(temp.c_str(), path.c_str()) != 0) {
+    status = Status::Internal("cannot rename " + temp + " over " + path +
+                              ": " + std::strerror(errno));
+  }
+  if (!status.ok()) {
+    std::remove(temp.c_str());
+    return status;
+  }
+  // Makes the rename itself durable.
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  return FsyncPath(dir.empty() ? "." : dir.string(), O_DIRECTORY);
 }
 
 Result<Mel3View> Mel3View::Parse(

@@ -200,7 +200,9 @@ struct Mel3BlockDesc {
 /// Writes a complete MEL3 container: header, block table, then each
 /// block zero-padded out to the next sector boundary. Deterministic for
 /// identical inputs (padding is all zeros), so save -> load -> save is
-/// byte-identical.
+/// byte-identical. The file is replaced atomically — written to a temp
+/// file beside it, fsynced, renamed over `path`, and the directory
+/// fsynced — so live mappings of the previous file stay valid.
 Status WriteMel3File(const std::string& path, uint32_t inner_magic,
                      uint32_t inner_version, uint32_t num_nodes,
                      uint32_t max_hops,

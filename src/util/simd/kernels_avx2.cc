@@ -154,79 +154,6 @@ uint32_t GallopCountAvx2(const uint32_t* small, size_t ns,
 }
 
 // ---------------------------------------------------------------------------
-// 2-hop running-min label walk: scalar match handling (matches are the
-// rare, semantics-heavy part) with vectorized advance — the lagging
-// side skips up to 4 packed labels per compare by counting node lanes
-// below the other side's current node.
-// ---------------------------------------------------------------------------
-
-// How many of the 4 packed labels at p have node < pivot_node. Node ids
-// sit in the even epi32 lanes; sorted unique nodes make the less-than
-// flags a prefix among those lanes.
-inline size_t PrefixLessNodesU64x4(const uint64_t* p, uint32_t pivot_node) {
-  const __m256i v =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  const __m256i bias = _mm256_set1_epi32(static_cast<int>(kSignBias));
-  const __m256i pivot =
-      _mm256_set1_epi32(static_cast<int>(pivot_node ^ kSignBias));
-  const __m256i lt = _mm256_cmpgt_epi32(pivot, _mm256_xor_si256(v, bias));
-  return static_cast<size_t>(__builtin_popcount(
-      static_cast<unsigned>(MoveMask32(lt)) & 0x55u));
-}
-
-uint32_t MinSumSpansAvx2(const uint64_t* outs, size_t n_outs,
-                         const uint64_t* ins, size_t n_ins, uint32_t dmin,
-                         uint64_t base, uint64_t* span_out, size_t* n_spans) {
-  // Block skips only engage when one list is much longer than the other
-  // (the long side jumps over runs between matches). Near-equal sizes
-  // mean an advance of ~1 per step, where the branchless scalar merge is
-  // already optimal — delegate instead of paying vector overhead for
-  // skips that never happen. Same answer either way (both are exact).
-  const size_t lo = n_outs < n_ins ? n_outs : n_ins;
-  const size_t hi = n_outs < n_ins ? n_ins : n_outs;
-  if (lo + hi < 32 || hi < 4 * lo) {
-    return ScalarMinSumSpans(outs, n_outs, ins, n_ins, dmin, base, span_out,
-                             n_spans);
-  }
-  *n_spans = 0;
-  size_t i = 0, j = 0;
-  while (i < n_outs && j < n_ins) {
-    const uint32_t a = static_cast<uint32_t>(outs[i]);
-    const uint32_t b = static_cast<uint32_t>(ins[j]);
-    if (a == b) {
-      MinSumMatch(outs[i], ins[j], i, &dmin, base, span_out, n_spans);
-      ++i;
-      ++j;
-    } else if (a < b) {
-      // Coarse skip costs one scalar compare per 4 labels (the whole
-      // block is below b iff its last node is); the vector prefix count
-      // only runs on the final partial block, so a tight interleave
-      // (advance of 1) never pays for a SIMD op it cannot use.
-      ++i;
-      while (i + 4 <= n_outs && static_cast<uint32_t>(outs[i + 3]) < b) {
-        i += 4;
-      }
-      if (i + 4 <= n_outs) {
-        i += PrefixLessNodesU64x4(outs + i, b);
-      } else {
-        while (i < n_outs && static_cast<uint32_t>(outs[i]) < b) ++i;
-      }
-    } else {
-      ++j;
-      while (j + 4 <= n_ins && static_cast<uint32_t>(ins[j + 3]) < a) {
-        j += 4;
-      }
-      if (j + 4 <= n_ins) {
-        j += PrefixLessNodesU64x4(ins + j, a);
-      } else {
-        while (j < n_ins && static_cast<uint32_t>(ins[j]) < a) ++j;
-      }
-    }
-  }
-  return dmin;
-}
-
-// ---------------------------------------------------------------------------
 // Open-addressed probe scan: 4 slots per compare, first match-or-empty
 // lane wins. The wrap boundary (and tables smaller than one vector)
 // degrade to exact scalar steps.
@@ -280,7 +207,7 @@ void FrontierAndNotAvx2(uint64_t* next, const uint64_t* visited,
 
 const KernelTable* Avx2KernelsOrNull() {
   static const KernelTable table = {
-      &MergeCountAvx2, &GallopCountAvx2,    &MinSumSpansAvx2,
+      &MergeCountAvx2, &GallopCountAvx2,
       &ProbeScanAvx2,  &FrontierAndNotAvx2,
   };
   return &table;

@@ -4,8 +4,8 @@
 // Scalar cores shared by every kernel translation unit. The scalar tier
 // registers these directly; the SSE4/AVX2 tiers call them for short
 // inputs, vector tails, and the duplicate-heavy fallback steps — so the
-// exact semantics (pairwise duplicate counting, lower-bound positions,
-// running-min span resets) are written exactly once.
+// exact semantics (pairwise duplicate counting, lower-bound positions)
+// are written exactly once.
 //
 // Everything here is `static inline` ON PURPOSE: the SSE4/AVX2 TUs are
 // compiled with arch flags, and an ordinary `inline` function would be
@@ -97,48 +97,6 @@ static inline uint32_t ScalarGallopCount(const uint32_t* small, size_t ns,
     }
   }
   return count;
-}
-
-/// Handles one matched hub of the min-sum walk: folds the distance sum
-/// into the running minimum with reset-on-strictly-smaller /
-/// append-on-equal span semantics (TwoHopIndex Theorem-2 collection).
-static inline void MinSumMatch(uint64_t out_word, uint64_t in_word, size_t i,
-                               uint32_t* dmin, uint64_t base,
-                               uint64_t* span_out, size_t* n_spans) {
-  const uint32_t d = static_cast<uint32_t>(out_word >> 32) +
-                     static_cast<uint32_t>(in_word >> 32);
-  if (d < *dmin) {
-    *dmin = d;
-    *n_spans = 0;
-    span_out[(*n_spans)++] = base + i;
-  } else if (d == *dmin) {
-    span_out[(*n_spans)++] = base + i;
-  }
-}
-
-/// Fused sorted intersection + running-min span collection over packed
-/// (node lo32, dist hi32) label words. See KernelTable::min_sum_spans.
-static inline uint32_t ScalarMinSumSpans(const uint64_t* outs, size_t n_outs,
-                                         const uint64_t* ins, size_t n_ins,
-                                         uint32_t dmin, uint64_t base,
-                                         uint64_t* span_out,
-                                         size_t* n_spans) {
-  *n_spans = 0;
-  size_t i = 0, j = 0;
-  while (i < n_outs && j < n_ins) {
-    const uint32_t a = static_cast<uint32_t>(outs[i]);
-    const uint32_t b = static_cast<uint32_t>(ins[j]);
-    if (a == b) {
-      MinSumMatch(outs[i], ins[j], i, &dmin, base, span_out, n_spans);
-      ++i;
-      ++j;
-    } else {
-      // Branchless advance, matching the original fused walk.
-      i += a < b;
-      j += b < a;
-    }
-  }
-  return dmin;
 }
 
 /// Linear probe scan: first slot from `start` (wrapping at mask + 1)

@@ -10,7 +10,7 @@ namespace mel::util::simd::detail {
 
 const KernelTable* ScalarKernels() {
   static const KernelTable table = {
-      &ScalarMergeCount, &ScalarGallopCount,    &ScalarMinSumSpans,
+      &ScalarMergeCount, &ScalarGallopCount,
       &ScalarProbeScan,  &ScalarFrontierAndNot,
   };
   return &table;

@@ -110,65 +110,6 @@ uint32_t GallopCountSse4(const uint32_t* small, size_t ns,
   return count;
 }
 
-// Node ids of 2 packed labels below pivot_node (even epi32 lanes).
-inline size_t PrefixLessNodesU64x2(const uint64_t* p, uint32_t pivot_node) {
-  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(kSignBias));
-  const __m128i pivot =
-      _mm_set1_epi32(static_cast<int>(pivot_node ^ kSignBias));
-  const __m128i lt = _mm_cmpgt_epi32(pivot, _mm_xor_si128(v, bias));
-  return static_cast<size_t>(__builtin_popcount(
-      static_cast<unsigned>(MoveMask32(lt)) & 0x5u));
-}
-
-uint32_t MinSumSpansSse4(const uint64_t* outs, size_t n_outs,
-                         const uint64_t* ins, size_t n_ins, uint32_t dmin,
-                         uint64_t base, uint64_t* span_out, size_t* n_spans) {
-  // Near-equal list sizes advance ~1 per step, where the branchless
-  // scalar merge is already optimal (see the AVX2 tier for the full
-  // rationale) — only asymmetric shapes take the block-skip path.
-  const size_t lo = n_outs < n_ins ? n_outs : n_ins;
-  const size_t hi = n_outs < n_ins ? n_ins : n_outs;
-  if (lo + hi < 32 || hi < 4 * lo) {
-    return ScalarMinSumSpans(outs, n_outs, ins, n_ins, dmin, base, span_out,
-                             n_spans);
-  }
-  *n_spans = 0;
-  size_t i = 0, j = 0;
-  while (i < n_outs && j < n_ins) {
-    const uint32_t a = static_cast<uint32_t>(outs[i]);
-    const uint32_t b = static_cast<uint32_t>(ins[j]);
-    if (a == b) {
-      MinSumMatch(outs[i], ins[j], i, &dmin, base, span_out, n_spans);
-      ++i;
-      ++j;
-    } else if (a < b) {
-      // Same shape as the AVX2 tier: scalar whole-block skip first, the
-      // vector prefix count only on the final partial block.
-      ++i;
-      while (i + 2 <= n_outs && static_cast<uint32_t>(outs[i + 1]) < b) {
-        i += 2;
-      }
-      if (i + 2 <= n_outs) {
-        i += PrefixLessNodesU64x2(outs + i, b);
-      } else {
-        while (i < n_outs && static_cast<uint32_t>(outs[i]) < b) ++i;
-      }
-    } else {
-      ++j;
-      while (j + 2 <= n_ins && static_cast<uint32_t>(ins[j + 1]) < a) {
-        j += 2;
-      }
-      if (j + 2 <= n_ins) {
-        j += PrefixLessNodesU64x2(ins + j, a);
-      } else {
-        while (j < n_ins && static_cast<uint32_t>(ins[j]) < a) ++j;
-      }
-    }
-  }
-  return dmin;
-}
-
 size_t ProbeScanSse4(const uint64_t* keys, size_t mask, uint64_t key,
                      size_t start) {
   const size_t cap = mask + 1;
@@ -213,7 +154,7 @@ void FrontierAndNotSse4(uint64_t* next, const uint64_t* visited,
 
 const KernelTable* Sse4KernelsOrNull() {
   static const KernelTable table = {
-      &MergeCountSse4, &GallopCountSse4,    &MinSumSpansSse4,
+      &MergeCountSse4, &GallopCountSse4,
       &ProbeScanSse4,  &FrontierAndNotSse4,
   };
   return &table;

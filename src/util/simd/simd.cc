@@ -141,7 +141,6 @@ const SimdMetrics& GetSimdMetrics() {
     SimdMetrics s;
     s.merge_dispatch = reg.GetCounter("util.simd.merge_dispatch_total");
     s.gallop_dispatch = reg.GetCounter("util.simd.gallop_dispatch_total");
-    s.minsum_dispatch = reg.GetCounter("util.simd.minsum_dispatch_total");
     s.probe_dispatch = reg.GetCounter("util.simd.probe_dispatch_total");
     s.dense_levels = reg.GetCounter("util.simd.frontier_dense_levels_total");
     return s;

@@ -3,9 +3,9 @@
 
 // Public face of the vectorized kernel layer (docs/PERFORMANCE.md,
 // "Vectorized kernels"): runtime CPU-feature dispatch over scalar /
-// SSE4.2 / AVX2 implementations of the four integer hot loops — sorted
-// intersection (merge + gallop), the 2-hop running-min label walk, the
-// fuzzy-index probe scan, and the dense-BFS frontier filter. Only the
+// SSE4.2 / AVX2 implementations of the three integer hot loops — sorted
+// intersection (merge + gallop), the fuzzy-index probe scan, and the
+// dense-BFS frontier filter. Only the
 // kernel TUs are built with arch flags; everything that executes before
 // dispatch is baseline code, so the same binary runs on hosts without
 // AVX2 (and under MEL_SIMD=scalar everywhere).
@@ -49,11 +49,10 @@ const KernelTable& KernelsFor(Level level);
 /// Per-kernel dispatch counters, cached once like every hot-path metric
 /// bundle (docs/METRICS.md, util.simd.* rows). `dense_levels` counts
 /// BFS levels that took the word-parallel bitset path (graph/bfs.cc
-/// bumps it; the other four are bumped by the wrappers below).
+/// bumps it; the other three are bumped by the wrappers below).
 struct SimdMetrics {
   metrics::Counter* merge_dispatch;
   metrics::Counter* gallop_dispatch;
-  metrics::Counter* minsum_dispatch;
   metrics::Counter* probe_dispatch;
   metrics::Counter* dense_levels;
 };
@@ -76,15 +75,6 @@ inline uint32_t GallopIntersectCountU32(const uint32_t* small, size_t ns,
                                         const uint32_t* large, size_t nl) {
   if (metrics::Enabled()) GetSimdMetrics().gallop_dispatch->Increment();
   return Kernels().gallop_count(small, ns, large, nl);
-}
-
-inline uint32_t MinSumSpansU64(const uint64_t* outs, size_t n_outs,
-                               const uint64_t* ins, size_t n_ins,
-                               uint32_t dmin_seed, uint64_t base,
-                               uint64_t* span_out, size_t* n_spans) {
-  if (metrics::Enabled()) GetSimdMetrics().minsum_dispatch->Increment();
-  return Kernels().min_sum_spans(outs, n_outs, ins, n_ins, dmin_seed, base,
-                                 span_out, n_spans);
 }
 
 inline size_t ProbeScanU64(const uint64_t* keys, size_t mask, uint64_t key,

@@ -53,21 +53,6 @@ struct KernelTable {
   uint32_t (*gallop_count)(const uint32_t* small, size_t ns,
                            const uint32_t* large, size_t nl);
 
-  /// The 2-hop running-min label walk (TwoHopIndex::
-  /// CollectMinDistanceSpans' fused intersection): `outs` and `ins` are
-  /// label arrays packed as little-endian u64 words with the hub node id
-  /// in the low 32 bits and the distance in the high 32 bits, sorted
-  /// ascending and unique by node. For every common hub the distance sum
-  /// is folded into a running minimum seeded with `dmin_seed`; a
-  /// strictly smaller sum resets the collected spans, an equal one
-  /// appends `base + i` (i = index into `outs`). `span_out` must have
-  /// room for n_outs entries; *n_spans receives how many were kept.
-  /// Returns the final minimum.
-  uint32_t (*min_sum_spans)(const uint64_t* outs, size_t n_outs,
-                            const uint64_t* ins, size_t n_ins,
-                            uint32_t dmin_seed, uint64_t base,
-                            uint64_t* span_out, size_t* n_spans);
-
   /// Open-addressed probe scan: starting at `start`, returns the index
   /// of the first slot (in linear-probe order, wrapping at capacity =
   /// mask + 1, a power of two) whose key equals `key` or is 0 (empty).

@@ -477,6 +477,42 @@ TEST(MmapLifetimeTest, UnlinkedFileKeepsServing) {
   }
 }
 
+// Republishing an index over a path that a live reader has mapped must
+// not pull the pages out from under it. WriteMel3File used to truncate
+// the target in place, and the next query on the old mapping faulted
+// past the new, shorter file (SIGBUS). It now renames a fresh inode
+// over the path, so the old mapping keeps answering from the old bytes
+// while new loads see the new file.
+TEST(MmapLifetimeTest, RepublishUnderLiveMappingKeepsOldInode) {
+  auto big_graph = RandomGraph(2000, 8000, 45);
+  auto big = reach::TwoHopIndex::Build(&big_graph, 5);
+  auto small_graph = RandomGraph(50, 150, 46);
+  auto small = reach::TwoHopIndex::Build(&small_graph, 5);
+  TempFile file("mel3_republish.mel3");
+  ASSERT_TRUE(big.Save(file.path()).ok());
+  auto mapped = reach::TwoHopIndex::LoadMapped(file.path(), &big_graph);
+  ASSERT_TRUE(mapped.ok());
+
+  ASSERT_TRUE(small.Save(file.path()).ok());
+  for (graph::NodeId u = 1900; u < 2000; ++u) {
+    for (graph::NodeId v : {graph::NodeId{0}, graph::NodeId{1999}, u}) {
+      ASSERT_EQ(mapped.value().ScoreOnly(u, v), big.ScoreOnly(u, v))
+          << u << "->" << v;
+    }
+  }
+  auto reloaded = reach::TwoHopIndex::LoadMapped(file.path(), &small_graph);
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(ReadFileBytes(file.path()).size(), reloaded.value().MappedBytes());
+  // The temp file was renamed away, not left beside the target.
+  const auto dir = std::filesystem::path(file.path()).parent_path();
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string().rfind(
+                  "mel3_republish.mel3.tmp.", 0),
+              std::string::npos)
+        << entry.path();
+  }
+}
+
 // ----------------------------------------- concurrent mapped queries
 
 // Read-only queries on one shared mapped index from many threads; TSan

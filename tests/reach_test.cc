@@ -10,6 +10,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "graph/graph_builder.h"
@@ -17,6 +18,7 @@
 #include "reach/naive_reachability.h"
 #include "reach/pruned_online_search.h"
 #include "reach/reach_cache.h"
+#include "reach/reach_maintainer.h"
 #include "reach/transitive_closure.h"
 #include "reach/two_hop_index.h"
 #include "util/metrics.h"
@@ -482,6 +484,36 @@ TEST(TransitiveClosureInsertTest, InsertShortensExistingDistance) {
   EXPECT_EQ(q.followees[0], 3u);
 }
 
+// ScoreOnlyMany(u, vs) must equal per-pair ScoreOnly on the same backend
+// bitwise, and the naive BFS backend bitwise too, except for the
+// transitive closure, which stores float scores. The slot past
+// vs.size() must stay unwritten.
+void ExpectScoreOnlyManyMatches(const WeightedReachability& backend,
+                                const WeightedReachability& naive,
+                                graph::NodeId u,
+                                const std::vector<graph::NodeId>& vs) {
+  std::vector<double> out(vs.size() + 1, -7.0);
+  backend.ScoreOnlyMany(u, vs, out.data());
+  const double tol =
+      std::string_view(backend.Name()) == "transitive-closure" ? 1e-6 : 0;
+  for (size_t i = 0; i < vs.size(); ++i) {
+    ASSERT_EQ(out[i], backend.ScoreOnly(u, vs[i]))
+        << backend.Name() << " " << u << "->" << vs[i];
+    ASSERT_NEAR(out[i], naive.ScoreOnly(u, vs[i]), tol)
+        << backend.Name() << " " << u << "->" << vs[i];
+  }
+  ASSERT_EQ(out.back(), -7.0) << backend.Name() << " u=" << u;
+}
+
+// Every node as a target (u itself, its followees, unreachable and
+// beyond-H nodes), then all again in reverse, so targets repeat.
+std::vector<graph::NodeId> AllNodesTwice(uint32_t n) {
+  std::vector<graph::NodeId> vs;
+  for (graph::NodeId v = 0; v < n; ++v) vs.push_back(v);
+  for (graph::NodeId v = n; v-- > 0;) vs.push_back(v);
+  return vs;
+}
+
 // ------------------------------------- graph-family property sweeps
 
 enum class GraphFamily {
@@ -590,7 +622,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Count-only fast path: CountQuery must report exactly (distance,
 // |F_uv|) of the materializing Query, and ScoreOnly must be bitwise
 // equal to Score, on every backend (both funnel through
-// WeightedScoreFromCount, so any divergence is a counting bug).
+// WeightedScoreFromCount, so any divergence is a counting bug); the
+// one-to-many ScoreOnlyMany must match per-pair ScoreOnly.
 TEST_P(GraphFamilyTest, CountQueryAndScoreOnlyMatchQueryEverywhere) {
   const GraphFamily family = GetParam();
   DirectedGraph g = MakeFamily(family, 18);
@@ -601,6 +634,7 @@ TEST_P(GraphFamilyTest, CountQueryAndScoreOnlyMatchQueryEverywhere) {
   auto dist_only = DistanceLabelIndex::Build(&g, 6);
   auto pruned = PrunedOnlineSearch::Build(&g, 6, 2, 3);
   CachedReachability cached(&naive, &g);
+  const auto vs = AllNodesTwice(g.num_nodes());
 
   for (const reach::WeightedReachability* backend :
        {static_cast<const reach::WeightedReachability*>(&naive),
@@ -623,6 +657,7 @@ TEST_P(GraphFamilyTest, CountQueryAndScoreOnlyMatchQueryEverywhere) {
             << FamilyName(family) << " " << backend->Name() << " " << u
             << "->" << v;
       }
+      ExpectScoreOnlyManyMatches(*backend, naive, u, vs);
     }
   }
 }
@@ -832,21 +867,27 @@ TEST(ParallelBuildTest, NaiveReachabilityConcurrentQueriesAreSafe) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// The 2-hop query path keeps per-thread span scratch; concurrent
-// ScoreOnly/CountQuery readers on one instance must agree with serial
-// answers (exercised under TSan via the Parallel filter in verify.sh).
+// The 2-hop query path keeps a per-thread hub table and span scratch;
+// concurrent ScoreOnly/ScoreOnlyMany/CountQuery readers on one instance
+// must agree with serial answers (exercised under TSan via the Parallel
+// filter in verify.sh).
 TEST(ParallelBuildTest, TwoHopConcurrentScoreOnlyReadersAgree) {
   DirectedGraph g = RandomGraph(60, 3.0, 23);
   auto index = TwoHopIndex::Build(&g, 5);
   std::vector<double> expected(g.num_nodes());
+  std::vector<graph::NodeId> all(g.num_nodes());
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     expected[v] = index.Score(7, v);
+    all[v] = v;
   }
   util::ThreadPool pool(4);
   std::atomic<int> mismatches{0};
   pool.ParallelFor(0, g.num_nodes() * 8u, 1, [&](size_t i) {
     auto v = static_cast<graph::NodeId>(i % g.num_nodes());
     if (index.ScoreOnly(7, v) != expected[v]) mismatches.fetch_add(1);
+    std::vector<double> many(g.num_nodes());
+    index.ScoreOnlyMany(7, all, many.data());
+    if (many != expected) mismatches.fetch_add(1);
     auto count = index.CountQuery(7, v);
     auto full = index.Query(7, v);
     if (count.distance != full.distance ||
@@ -855,6 +896,82 @@ TEST(ParallelBuildTest, TwoHopConcurrentScoreOnlyReadersAgree) {
     }
   });
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// ----------------------------------------------- one-to-many ScoreOnly
+
+// Hand-checked corners of the walk on the chain 0 -> 1 -> ... -> 7 with
+// H = 3: u among its own targets and a followee (1), d_uv = 2 and 3 over
+// the single followee (1/2, 1/3), d_uv > H (0), upstream targets
+// (unreachable, 0), a sink author, and an empty target list.
+TEST(ScoreOnlyManyTest, TwoHopCornerCases) {
+  DirectedGraph g = Chain(8);
+  NaiveReachability naive(&g, 3);
+  auto two_hop = TwoHopIndex::Build(&g, 3);
+  auto scores = [&](graph::NodeId u, const std::vector<graph::NodeId>& vs) {
+    ExpectScoreOnlyManyMatches(two_hop, naive, u, vs);
+    std::vector<double> out(vs.size());
+    two_hop.ScoreOnlyMany(u, vs, out.data());
+    return out;
+  };
+  EXPECT_EQ(scores(0, {0, 1, 2, 3, 4, 7, 0}),
+            (std::vector<double>{1, 1, 0.5, 1.0 / 3, 0, 0, 1}));
+  EXPECT_EQ(scores(5, {0, 4, 6, 7}), (std::vector<double>{0, 0, 1, 0.5}));
+  EXPECT_EQ(scores(7, {7, 0, 6, 3}), (std::vector<double>{1, 0, 0, 0}));
+  double untouched = -1.0;
+  two_hop.ScoreOnlyMany(3, {}, &untouched);
+  EXPECT_EQ(untouched, -1.0);
+}
+
+// After insert patches (labels patched in place) and erases (index
+// rebuilt), ScoreOnlyMany still matches the naive BFS on the mutated
+// graph.
+TEST(ScoreOnlyManyTest, TwoHopMatchesAfterInsertPatchAndEraseRebuild) {
+  DirectedGraph g = RandomGraph(60, 2.0, 57);
+  NaiveReachability naive(&g, 4);
+  auto two_hop = TwoHopIndex::Build(&g, 4);
+  ReachMaintainer maintainer(&g, 4);
+  maintainer.Register(&two_hop);
+  Rng rng(58);
+  int applied = 0;
+  while (applied < 6) {
+    // Four inserts, then two erases of an existing edge.
+    graph::EdgeDelta delta;
+    delta.u = static_cast<graph::NodeId>(rng.Uniform(g.num_nodes()));
+    const bool erase = applied >= 4;
+    if (erase && g.OutDegree(delta.u) == 0) continue;
+    delta.op = erase ? graph::EdgeDelta::Op::kErase
+                     : graph::EdgeDelta::Op::kInsert;
+    delta.v = erase ? g.OutNeighbors(delta.u)[0]
+                    : static_cast<graph::NodeId>(rng.Uniform(g.num_nodes()));
+    const auto result = maintainer.ApplyDelta(delta);
+    if (!result.applied) continue;
+    ++applied;
+    ASSERT_EQ(result.results.front(), erase ? MutationResult::kRebuilt
+                                            : MutationResult::kPatched);
+    for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+      ExpectScoreOnlyManyMatches(two_hop, naive, u,
+                                 AllNodesTwice(g.num_nodes()));
+    }
+  }
+}
+
+// The hub table is per thread and shared by every index the thread
+// queries. Alternating a 20-node and a 90-node index, one-to-many and
+// per-pair, must never let a hub scattered for one answer the other.
+TEST(ScoreOnlyManyTest, AlternatingIndexesOfDifferentSizesOnOneThread) {
+  DirectedGraph small_g = RandomGraph(20, 2.5, 61);
+  DirectedGraph large_g = RandomGraph(90, 2.5, 62);
+  NaiveReachability small_naive(&small_g, 4);
+  NaiveReachability large_naive(&large_g, 4);
+  auto small = TwoHopIndex::Build(&small_g, 4);
+  auto large = TwoHopIndex::Build(&large_g, 4);
+  for (graph::NodeId u = 0; u < 90; ++u) {
+    ExpectScoreOnlyManyMatches(large, large_naive, u, AllNodesTwice(90));
+    ExpectScoreOnlyManyMatches(small, small_naive, u % 20, AllNodesTwice(20));
+    ASSERT_EQ(large.Query(u, (u + 7) % 90).followees,
+              large_naive.Query(u, (u + 7) % 90).followees);
+  }
 }
 
 // --------------------------------------------------- CachedReachability

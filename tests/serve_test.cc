@@ -502,6 +502,35 @@ TEST_F(ServeFixture, FeedbackWithUnknownUserRejected) {
                                         AmbiguousSurface());
 }
 
+// A link request whose author is outside the social graph resolves to
+// kInvalidRequest at admission — it would otherwise index the
+// reachability walk's per-user tables out of bounds — and the service
+// keeps serving valid requests.
+TEST_F(ServeFixture, LinkWithUnknownUserRejected) {
+  core::EntityLinker linker =
+      harness_->MakeLinker(harness_->DefaultLinkerOptions());
+  serve::LinkService service(&linker, {});
+  metrics::Counter* rejected = metrics::Registry().GetCounter(
+      "serve.invalid_rejected_total");
+  const uint64_t rejected_before = rejected->Value();
+  const kb::UserId num_users = harness_->world().social.graph.num_nodes();
+  for (kb::UserId user :
+       {num_users, kb::UserId{99999999u}, kb::kInvalidUser}) {
+    const serve::LinkResponse response =
+        service.LinkSync(Request(AmbiguousSurface(), user));
+    EXPECT_EQ(response.status, serve::ServeStatus::kInvalidRequest)
+        << "user " << user;
+    EXPECT_TRUE(response.result.ranked.empty());
+  }
+  EXPECT_STREQ(serve::ServeStatusName(serve::ServeStatus::kInvalidRequest),
+               "invalid_request");
+  EXPECT_EQ(rejected->Value() - rejected_before, 3u);
+  const serve::LinkResponse ok =
+      service.LinkSync(Request(AmbiguousSurface(), num_users - 1));
+  EXPECT_EQ(ok.status, serve::ServeStatus::kOk);
+  EXPECT_EQ(service.epoch(), 0u);
+}
+
 TEST_F(ServeFixture, DestructorStopsCleanlyWithQueuedWork) {
   core::EntityLinker linker =
       harness_->MakeLinker(harness_->DefaultLinkerOptions());

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -95,7 +94,6 @@ TEST(SimdDispatchTest, ScalarAlwaysSupported) {
   const util::simd::KernelTable& t = KernelsFor(Level::kScalar);
   EXPECT_NE(t.merge_count, nullptr);
   EXPECT_NE(t.gallop_count, nullptr);
-  EXPECT_NE(t.min_sum_spans, nullptr);
   EXPECT_NE(t.probe_scan, nullptr);
   EXPECT_NE(t.frontier_and_not, nullptr);
 }
@@ -208,106 +206,6 @@ TEST(SimdIntersectTest, RandomizedAgainstSetIntersection) {
     auto a = RandomSorted(rng, na, universe);
     auto b = RandomSorted(rng, nb, universe);
     CheckIntersectAllVariants(a, b);
-  }
-}
-
-// ------------------------------------------------------ min-sum kernel
-
-struct MinSumResult {
-  uint32_t dmin;
-  std::vector<uint64_t> spans;
-};
-
-MinSumResult RunMinSum(const util::simd::KernelTable& t,
-                       const std::vector<uint64_t>& outs,
-                       const std::vector<uint64_t>& ins, uint32_t seed,
-                       uint64_t base) {
-  MinSumResult r;
-  r.spans.resize(outs.size());
-  size_t n_spans = 0;
-  r.dmin = t.min_sum_spans(outs.data(), outs.size(), ins.data(), ins.size(),
-                           seed, base, r.spans.data(), &n_spans);
-  r.spans.resize(n_spans);
-  return r;
-}
-
-// Straight-line reference: intersect by node, min over distance sums,
-// collect out-indices achieving the min.
-MinSumResult ReferenceMinSum(const std::vector<uint64_t>& outs,
-                             const std::vector<uint64_t>& ins, uint32_t seed,
-                             uint64_t base) {
-  MinSumResult r;
-  r.dmin = seed;
-  for (size_t i = 0; i < outs.size(); ++i) {
-    for (size_t j = 0; j < ins.size(); ++j) {
-      if (static_cast<uint32_t>(outs[i]) != static_cast<uint32_t>(ins[j])) {
-        continue;
-      }
-      const uint32_t d = static_cast<uint32_t>(outs[i] >> 32) +
-                         static_cast<uint32_t>(ins[j] >> 32);
-      if (d < r.dmin) {
-        r.dmin = d;
-        r.spans.clear();
-        r.spans.push_back(base + i);
-      } else if (d == r.dmin) {
-        r.spans.push_back(base + i);
-      }
-    }
-  }
-  return r;
-}
-
-// Sorted-unique-by-node packed label list.
-std::vector<uint64_t> RandomLabels(Rng& rng, size_t n,
-                                   uint64_t universe, uint32_t max_dist) {
-  std::vector<uint32_t> nodes = RandomSorted(rng, n, universe);
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  std::vector<uint64_t> labels;
-  labels.reserve(nodes.size());
-  for (uint32_t node : nodes) {
-    const uint64_t dist = rng.Uniform(max_dist + 1);
-    labels.push_back((dist << 32) | node);
-  }
-  return labels;
-}
-
-TEST(SimdMinSumTest, MatchesReferenceAcrossVariants) {
-  Rng rng(DeriveSeed(0xC0FFEE, 3));
-  for (int round = 0; round < 200; ++round) {
-    const auto outs = RandomLabels(rng, rng.Uniform(64), 96, 4);
-    const auto ins = RandomLabels(rng, rng.Uniform(64), 96, 4);
-    // Seed sometimes low enough that no match beats it (spans stay
-    // empty), sometimes kInf-like.
-    const uint32_t seed =
-        (round % 3 == 0) ? 1u : std::numeric_limits<uint32_t>::max();
-    const uint64_t base = rng.Uniform(1 << 20);
-    const MinSumResult expected = ReferenceMinSum(outs, ins, seed, base);
-    for (Level level : SupportedLevels()) {
-      const MinSumResult got =
-          RunMinSum(KernelsFor(level), outs, ins, seed, base);
-      EXPECT_EQ(got.dmin, expected.dmin)
-          << "level=" << util::simd::LevelName(level) << " round=" << round;
-      EXPECT_EQ(got.spans, expected.spans)
-          << "level=" << util::simd::LevelName(level) << " round=" << round;
-    }
-  }
-}
-
-TEST(SimdMinSumTest, EmptyAndDegenerateInputs) {
-  const std::vector<uint64_t> empty;
-  const std::vector<uint64_t> one = {(uint64_t{2} << 32) | 5};
-  for (Level level : SupportedLevels()) {
-    const auto& t = KernelsFor(level);
-    EXPECT_EQ(RunMinSum(t, empty, empty, 99, 0).dmin, 99u);
-    EXPECT_EQ(RunMinSum(t, one, empty, 99, 0).dmin, 99u);
-    EXPECT_EQ(RunMinSum(t, empty, one, 99, 0).dmin, 99u);
-    const MinSumResult hit = RunMinSum(t, one, one, 99, 10);
-    EXPECT_EQ(hit.dmin, 4u);
-    EXPECT_EQ(hit.spans, std::vector<uint64_t>({10}));
-    // Tie with the seed appends; worse-than-seed leaves spans empty.
-    EXPECT_EQ(RunMinSum(t, one, one, 4, 10).spans,
-              std::vector<uint64_t>({10}));
-    EXPECT_TRUE(RunMinSum(t, one, one, 3, 10).spans.empty());
   }
 }
 
