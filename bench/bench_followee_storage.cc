@@ -22,7 +22,7 @@ double MeasureQueryNanos(const mel::reach::WeightedReachability& index,
   mel::WallTimer timer;
   double sink = 0;
   for (size_t i = 0; i < queries; ++i) {
-    sink += index.Score(
+    sink += index.ScoreOnly(
         static_cast<mel::graph::NodeId>(rng.Uniform(num_nodes)),
         static_cast<mel::graph::NodeId>(rng.Uniform(num_nodes)));
   }

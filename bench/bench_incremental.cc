@@ -215,7 +215,7 @@ void VerifyRoundTrip(uint32_t users) {
     const auto u = static_cast<NodeId>(check_rng.Uniform(users));
     const auto v = static_cast<NodeId>(check_rng.Uniform(users));
     if (tc.Distance(u, v) != fresh.Distance(u, v) ||
-        tc.Score(u, v) != fresh.Score(u, v)) {
+        tc.ScoreOnly(u, v) != fresh.ScoreOnly(u, v)) {
       std::fprintf(stderr, "round-trip mismatch at pair (%u, %u)\n", u, v);
       std::abort();
     }

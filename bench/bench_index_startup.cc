@@ -86,7 +86,7 @@ LoadStats MeasureLoads(const std::string& path, LoadFn load, int reps,
         std::min(stats.warm_ns, static_cast<double>(timer.ElapsedNanos()));
     if (r == 0) {
       mel::WallTimer qt;
-      double s = index.Score(qu, qv);
+      double s = index.ScoreOnly(qu, qv);
       stats.first_query_ns = static_cast<double>(qt.ElapsedNanos());
       if (s < -1) std::printf("impossible %f", s);
     }
@@ -166,7 +166,7 @@ StartupResult RunStartupAb(uint32_t users, int reps) {
     for (int i = 0; i < 2000; ++i) {
       const NodeId u = static_cast<NodeId>(check_rng.Uniform(users));
       const NodeId v = static_cast<NodeId>(check_rng.Uniform(users));
-      if (a.value().Score(u, v) != b.value().Score(u, v)) {
+      if (a.value().ScoreOnly(u, v) != b.value().ScoreOnly(u, v)) {
         std::fprintf(stderr, "load-mode mismatch at pair (%u, %u)\n", u, v);
         std::abort();
       }

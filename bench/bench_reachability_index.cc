@@ -7,9 +7,8 @@
 //
 // Extras beyond the paper's table: builds run on a shared thread pool
 // (--threads N, default hardware concurrency) with a serial-vs-parallel
-// scaling section, and a CachedReachability demo shows what the sharded
-// read-through cache buys a BFS-priced backend on a repeat-heavy
-// workload (the S_in access pattern of Eq. 4).
+// scaling section. Query time is the count-only ScoreOnly path the
+// linker's S_in uses (Eq. 4).
 
 #include <algorithm>
 #include <cstdio>
@@ -22,8 +21,6 @@
 
 #include "gen/social_graph_generator.h"
 #include "graph/stats.h"
-#include "reach/pruned_online_search.h"
-#include "reach/reach_cache.h"
 #include "reach/transitive_closure.h"
 #include "reach/two_hop_index.h"
 #include "util/metrics.h"
@@ -55,29 +52,12 @@ QueryWorkload MakeWorkload(uint32_t num_nodes, size_t count,
   return w;
 }
 
-// Repeat-heavy variant: queries are drawn from a small pool of distinct
-// pairs, like S_in re-querying the influential users of hot candidates.
-QueryWorkload MakeRepeatWorkload(uint32_t num_nodes, size_t count,
-                                 size_t distinct_pairs, uint64_t seed) {
-  auto pool = MakeWorkload(num_nodes, distinct_pairs, seed);
-  mel::Rng rng(seed + 1);
-  QueryWorkload w;
-  w.sources.reserve(count);
-  w.targets.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    size_t p = rng.Uniform(distinct_pairs);
-    w.sources.push_back(pool.sources[p]);
-    w.targets.push_back(pool.targets[p]);
-  }
-  return w;
-}
-
 double MeasureQueryNanos(const mel::reach::WeightedReachability& index,
                          const QueryWorkload& w) {
   mel::WallTimer timer;
   double sink = 0;
   for (size_t i = 0; i < w.sources.size(); ++i) {
-    sink += index.Score(w.sources[i], w.targets[i]);
+    sink += index.ScoreOnly(w.sources[i], w.targets[i]);
   }
   double nanos = static_cast<double>(timer.ElapsedNanos());
   // Keep the computation alive.
@@ -85,33 +65,20 @@ double MeasureQueryNanos(const mel::reach::WeightedReachability& index,
   return nanos / w.sources.size();
 }
 
-double MeasureScoreOnlyNanos(const mel::reach::WeightedReachability& index,
-                             const QueryWorkload& w) {
-  mel::WallTimer timer;
-  double sink = 0;
-  for (size_t i = 0; i < w.sources.size(); ++i) {
-    sink += index.ScoreOnly(w.sources[i], w.targets[i]);
-  }
-  double nanos = static_cast<double>(timer.ElapsedNanos());
-  if (sink < -1) std::printf("impossible %f", sink);
-  return nanos / w.sources.size();
-}
-
 struct ScorePathResult {
   uint32_t users = 0;
   size_t queries = 0;
-  double arena_score_ns = 0;
   double score_only_ns = 0;
   uint64_t arena_bytes = 0;
 };
 
-// Count-only fast path A/B on the 2-hop cover: materializing Score vs
-// ScoreOnly query latencies, plus the arena index bytes. Results go to
-// bench.reach.* gauges in the metrics sidecar and, via the returned
-// struct, to the BENCH_reach.json trajectory sidecar; scripts/verify.sh
-// runs this section alone via --smoke.
-ScorePathResult RunScorePathAb(uint32_t users, size_t queries,
-                               mel::util::ThreadPool* pool) {
+// Count-only path on the 2-hop cover: ScoreOnly query latency plus the
+// arena index bytes. Results go to bench.reach.* gauges in the metrics
+// sidecar and, via the returned struct, to the BENCH_reach.json
+// trajectory sidecar; scripts/verify.sh runs this section alone via
+// --smoke.
+ScorePathResult RunScorePath(uint32_t users, size_t queries,
+                             mel::util::ThreadPool* pool) {
   using namespace mel;
   gen::SocialGenOptions sopts;
   sopts.num_users = users;
@@ -124,22 +91,16 @@ ScorePathResult RunScorePathAb(uint32_t users, size_t queries,
   // Warm-up pass so all measurements see hot caches and sized
   // thread-local scratch.
   MeasureQueryNanos(two_hop, workload);
-  const double arena_score_ns = MeasureQueryNanos(two_hop, workload);
-  const double score_only_ns = MeasureScoreOnlyNanos(two_hop, workload);
+  const double score_only_ns = MeasureQueryNanos(two_hop, workload);
   const uint64_t arena_bytes = two_hop.IndexSizeBytes();
 
   std::printf(
       "\n=== Count-only path (2-hop, %u users, %zu queries) ===\n", users,
       queries);
   std::printf("index bytes    : %s\n", HumanBytes(arena_bytes).c_str());
-  std::printf("Score          : %s\n", HumanNanos(arena_score_ns).c_str());
-  std::printf("ScoreOnly      : %s (%.2fx vs Score)\n",
-              HumanNanos(score_only_ns).c_str(),
-              arena_score_ns / score_only_ns);
+  std::printf("ScoreOnly      : %s\n", HumanNanos(score_only_ns).c_str());
 
   auto& reg = metrics::Registry();
-  reg.GetGauge("bench.reach.arena_score_ns")
-      ->Set(static_cast<int64_t>(arena_score_ns));
   reg.GetGauge("bench.reach.score_only_ns")
       ->Set(static_cast<int64_t>(score_only_ns));
   reg.GetGauge("bench.reach.arena_index_bytes")
@@ -148,25 +109,23 @@ ScorePathResult RunScorePathAb(uint32_t users, size_t queries,
   ScorePathResult result;
   result.users = users;
   result.queries = queries;
-  result.arena_score_ns = arena_score_ns;
   result.score_only_ns = score_only_ns;
   result.arena_bytes = arena_bytes;
   return result;
 }
 
-// Per-PR trajectory sidecar (schema v2; keys checked by verify.sh).
-void WriteReachSidecar(const ScorePathResult& ab, bool smoke) {
+// Trajectory sidecar (schema v3; keys checked by verify.sh).
+void WriteReachSidecar(const ScorePathResult& path, bool smoke) {
   std::ofstream sidecar("BENCH_reach.json");
   mel::JsonWriter w(&sidecar);
   w.BeginObject();
   w.KeyValue("bench", std::string_view("reach"));
-  w.KeyValue("schema_version", uint64_t{2});
+  w.KeyValue("schema_version", uint64_t{3});
   w.KeyValue("mode", std::string_view(smoke ? "smoke" : "full"));
-  w.KeyValue("users", uint64_t{ab.users});
-  w.KeyValue("queries", uint64_t{ab.queries});
-  w.KeyValue("arena_score_ns", ab.arena_score_ns);
-  w.KeyValue("score_only_ns", ab.score_only_ns);
-  w.KeyValue("arena_index_bytes", ab.arena_bytes);
+  w.KeyValue("users", uint64_t{path.users});
+  w.KeyValue("queries", uint64_t{path.queries});
+  w.KeyValue("score_only_ns", path.score_only_ns);
+  w.KeyValue("arena_index_bytes", path.arena_bytes);
   w.EndObject();
   sidecar << "\n";
   std::printf("trajectory written to BENCH_reach.json\n");
@@ -193,9 +152,9 @@ int main(int argc, char** argv) {
 
   const char* metrics_path = "bench_reachability_index.metrics.json";
   if (smoke) {
-    // CI-sized run: just the count-only A/B, small graph.
-    const auto ab = RunScorePathAb(/*users=*/800, /*queries=*/40000, &pool);
-    WriteReachSidecar(ab, /*smoke=*/true);
+    // CI-sized run: just the count-only path, small graph.
+    const auto path = RunScorePath(/*users=*/800, /*queries=*/40000, &pool);
+    WriteReachSidecar(path, /*smoke=*/true);
     if (mel::metrics::WriteJsonFile(metrics_path).ok()) {
       std::printf("metrics JSON written to %s\n", metrics_path);
     }
@@ -311,36 +270,8 @@ int main(int argc, char** argv) {
                 hop_serial_ms / hop_par_ms);
   }
 
-  // --- CachedReachability: what the read-through cache buys a BFS-priced
-  // backend once queries repeat (the Eq. 4 S_in access pattern).
-  {
-    gen::SocialGenOptions sopts;
-    sopts.num_users = 1500;
-    sopts.num_topics = 15;
-    sopts.seed = 5;
-    auto social = gen::GenerateSocialGraph(sopts);
-    auto base = reach::PrunedOnlineSearch::Build(&social.graph, 5,
-                                                 /*num_intervals=*/4,
-                                                 /*seed=*/7);
-    reach::CachedReachability cached(&base, &social.graph);
-    auto repeat = MakeRepeatWorkload(sopts.num_users, kQueries,
-                                     /*distinct_pairs=*/2000, 42);
-    double base_ns = MeasureQueryNanos(base, repeat);
-    double cached_ns = MeasureQueryNanos(cached, repeat);
-    std::printf(
-        "\n=== CachedReachability over %s (1500 users, %zu queries, "
-        "2000 distinct pairs) ===\n",
-        base.Name(), kQueries);
-    std::printf(
-        "uncached %s/query -> cached %s/query (%.1fx); %zu entries "
-        "cached, hit/miss counts in reach.cache.* metrics\n",
-        HumanNanos(base_ns).c_str(), HumanNanos(cached_ns).c_str(),
-        base_ns / cached_ns, cached.ApproxEntries());
-  }
-
-  const auto ab =
-      RunScorePathAb(/*users=*/4000, /*queries=*/kQueries, &pool);
-  WriteReachSidecar(ab, /*smoke=*/false);
+  const auto path = RunScorePath(/*users=*/4000, /*queries=*/kQueries, &pool);
+  WriteReachSidecar(path, /*smoke=*/false);
 
   if (mel::metrics::WriteJsonFile(metrics_path).ok()) {
     std::printf("metrics JSON written to %s\n", metrics_path);

@@ -196,19 +196,24 @@ int main(int argc, char** argv) {
     } else if (cmd == "feedback") {
       uint32_t entity = 0, user = 0;
       in >> entity >> user;
-      kb::Tweet tweet;
-      tweet.id = next_tweet_id++;
-      tweet.user = user;
-      tweet.time = now;
-      auto ack = service.SubmitFeedback(entity, tweet);
-      const uint64_t epoch = ack.get();
-      if (epoch == serve::kFeedbackRejected) {
-        // The service only stops on exit, so a rejection here means the
-        // entity or user id is out of range.
-        std::printf("  feedback rejected (invalid id)\n");
+      if (!in) {
+        // A missing or non-numeric id must not confirm entity/user 0.
+        std::printf("  usage: feedback <entity> <user>\n");
       } else {
-        std::printf("  confirmed entity %u; visible from epoch %llu\n",
-                    entity, static_cast<unsigned long long>(epoch));
+        kb::Tweet tweet;
+        tweet.id = next_tweet_id++;
+        tweet.user = user;
+        tweet.time = now;
+        auto ack = service.SubmitFeedback(entity, tweet);
+        const uint64_t epoch = ack.get();
+        if (epoch == serve::kFeedbackRejected) {
+          // The service only stops on exit, so a rejection here means the
+          // entity or user id is out of range.
+          std::printf("  feedback rejected (invalid id)\n");
+        } else {
+          std::printf("  confirmed entity %u; visible from epoch %llu\n",
+                      entity, static_cast<unsigned long long>(epoch));
+        }
       }
     } else if (cmd == "wait") {
       service.Resume();  // a paused queue would never drain

@@ -3,7 +3,7 @@
 # Configures, builds, and runs the full test suite; fails on the first error.
 #
 # A second stage runs a Release-mode bench smoke: the hot-path A/B bench,
-# the reachability count-only A/B, the serving micro-batch A/B (which
+# the reachability count-only query path, the serving micro-batch A/B (which
 # also asserts batched == sequential bit-identity), the scheduler
 # scaling check (chunk-pull at 1 vs N threads; the uniform scaling floor
 # asserts only in full mode on >= 4 hardware threads), the MEL3 startup
@@ -30,8 +30,7 @@
 # A third stage rebuilds the threaded code under ThreadSanitizer and
 # runs the suites that exercise the thread pool (including the
 # many-submitters stress test), the parallel index and network
-# constructions, the recency-cache fill, the reach-score cache, the
-# batch linker, the
+# constructions, the recency-cache fill, the batch linker, the
 # serving loop (producers + feedback racing the dispatcher,
 # epoch-schedule replay, drain-on-shutdown), the metrics-export
 # concurrency test, the concurrent mapped-index query test, the
@@ -55,11 +54,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-cmake -B build -S . && cmake --build build -j && (cd build && ctest --output-on-failure -j)
+cmake -B build -S . && cmake --build build -j "$(nproc)" && (cd build && ctest --output-on-failure -j)
 
 if [ "${MEL_SKIP_BENCH:-0}" != "1" ]; then
-  echo "=== Bench smoke: query hot path A/B + reach count-only A/B + serving + scheduler + micro (Release) ==="
-  cmake --build build -j --target bench_query_hotpath bench_micro \
+  echo "=== Bench smoke: query hot path A/B + reach count-only path + serving + scheduler + micro (Release) ==="
+  cmake --build build -j "$(nproc)" --target bench_query_hotpath bench_micro \
     bench_reachability_index bench_serving bench_scheduler \
     bench_index_startup bench_incremental bench_kernels
   (cd build/bench && ./bench_query_hotpath --smoke)
@@ -99,8 +98,7 @@ required = {
                            "optimized_mentions_per_sec", "speedup",
                            "parallel_build_identical"),
     "BENCH_reach.json": ("bench", "schema_version", "mode",
-                         "arena_score_ns", "score_only_ns",
-                         "arena_index_bytes"),
+                         "score_only_ns", "arena_index_bytes"),
     "BENCH_startup.json": ("bench", "schema_version", "mode", "users",
                            "file_bytes", "deserialize_warm_ns",
                            "deserialize_cold_ns", "mmap_warm_ns",
@@ -138,11 +136,11 @@ fi
 if [ "${MEL_SKIP_TSAN:-0}" != "1" ]; then
   echo "=== TSan stage: thread pool + parallel builds + caches + batch linker + serving ==="
   cmake -B build-tsan -S . -DMEL_SANITIZE=thread
-  cmake --build build-tsan -j --target util_test reach_test core_test \
-    extensions_test recency_test text_test differential_test \
+  cmake --build build-tsan -j "$(nproc)" --target util_test reach_test \
+    core_test extensions_test recency_test text_test differential_test \
     metrics_test serve_test mmap_test incremental_test
   (cd build-tsan && ctest --output-on-failure \
-    -R 'ThreadPool|Parallel|CachedReachability|ScoreOnlyMany|DifferentialConcurrency|ServeFixture|ConcurrencyTest|MmapConcurrency|Incremental' -j)
+    -R 'ThreadPool|Parallel|ScoreOnlyMany|DifferentialConcurrency|ServeFixture|ConcurrencyTest|MmapConcurrency|Incremental' -j)
   echo "=== TSan stage: reduced differential sweep (mutation shards included) ==="
   (cd build-tsan/tests && MEL_DIFF_CASES="${MEL_DIFF_CASES_TSAN:-40}" \
     ./differential_test --gtest_filter='DifferentialShards.Shard*:MutationSweep.Shard*')
@@ -151,7 +149,7 @@ fi
 if [ "${MEL_SKIP_DIFF:-0}" != "1" ]; then
   echo "=== Differential stage: oracle sweep + mmap tier under ASan ==="
   cmake -B build-asan -S . -DMEL_SANITIZE=address
-  cmake --build build-asan -j --target differential_test mmap_test
+  cmake --build build-asan -j "$(nproc)" --target differential_test mmap_test
   (cd build-asan/tests && ./mmap_test)
   (cd build-asan/tests && MEL_DIFF_CASES="${MEL_DIFF_CASES:-400}" \
     ./differential_test)
@@ -160,7 +158,7 @@ fi
 if [ "${MEL_SKIP_UBSAN:-0}" != "1" ]; then
   echo "=== UBSan stage: SIMD kernels + serializers + reach + serving ==="
   cmake -B build-ubsan -S . -DMEL_SANITIZE=undefined
-  cmake --build build-ubsan -j --target reach_test simd_test \
+  cmake --build build-ubsan -j "$(nproc)" --target reach_test simd_test \
     serialize_test mmap_test serve_test
   (cd build-ubsan && ctest --output-on-failure \
     -L '^(reach_test|simd_test|serialize_test|mmap_test|serve_test)$' -j)

@@ -181,10 +181,6 @@ ReachCountResult DistanceLabelIndex::CountQuery(NodeId u, NodeId v) const {
   return result;
 }
 
-double DistanceLabelIndex::Score(NodeId u, NodeId v) const {
-  return WeightedScore(Query(u, v), g_->OutDegree(u), u == v);
-}
-
 double DistanceLabelIndex::ScoreOnly(NodeId u, NodeId v) const {
   const ReachCountResult r = CountQuery(u, v);
   return WeightedScoreFromCount(r.distance, r.followee_count,

@@ -44,7 +44,6 @@ class DistanceLabelIndex : public WeightedReachability {
   /// Shortest-path distance (kUnreachableDistance beyond H hops).
   uint32_t Distance(NodeId u, NodeId v) const;
 
-  double Score(NodeId u, NodeId v) const override;
   ReachQueryResult Query(NodeId u, NodeId v) const override;
   ReachCountResult CountQuery(NodeId u, NodeId v) const override;
   double ScoreOnly(NodeId u, NodeId v) const override;

@@ -54,10 +54,6 @@ ReachCountResult NaiveReachability::CountQuery(NodeId u, NodeId v) const {
   return result;
 }
 
-double NaiveReachability::Score(NodeId u, NodeId v) const {
-  return WeightedScore(Query(u, v), g_->OutDegree(u), u == v);
-}
-
 double NaiveReachability::ScoreOnly(NodeId u, NodeId v) const {
   const ReachCountResult r = CountQuery(u, v);
   return WeightedScoreFromCount(r.distance, r.followee_count,

@@ -26,7 +26,6 @@ class NaiveReachability : public WeightedReachability {
   /// The graph must outlive this object.
   NaiveReachability(const graph::DirectedGraph* g, uint32_t max_hops);
 
-  double Score(NodeId u, NodeId v) const override;
   ReachQueryResult Query(NodeId u, NodeId v) const override;
   ReachCountResult CountQuery(NodeId u, NodeId v) const override;
   double ScoreOnly(NodeId u, NodeId v) const override;

@@ -184,10 +184,6 @@ ReachCountResult PrunedOnlineSearch::CountQuery(NodeId u, NodeId v) const {
   return result;
 }
 
-double PrunedOnlineSearch::Score(NodeId u, NodeId v) const {
-  return WeightedScore(Query(u, v), g_->OutDegree(u), u == v);
-}
-
 double PrunedOnlineSearch::ScoreOnly(NodeId u, NodeId v) const {
   const ReachCountResult r = CountQuery(u, v);
   return WeightedScoreFromCount(r.distance, r.followee_count,

@@ -37,7 +37,6 @@ class PrunedOnlineSearch : public WeightedReachability {
                                   uint32_t max_hops,
                                   uint32_t num_intervals, uint64_t seed);
 
-  double Score(NodeId u, NodeId v) const override;
   ReachQueryResult Query(NodeId u, NodeId v) const override;
   ReachCountResult CountQuery(NodeId u, NodeId v) const override;
   double ScoreOnly(NodeId u, NodeId v) const override;

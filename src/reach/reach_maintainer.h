@@ -20,8 +20,6 @@ namespace mel::reach {
 /// erase alike, since neither family of paths can route through the
 /// mutated edge), then offers the delta to every registered index
 /// through WeightedReachability::OnGraphMutation in registration order.
-/// Register a CachedReachability AFTER the backend it wraps, so the
-/// backend is patched before the cache invalidates against it.
 ///
 /// Thread safety: ApplyDelta must be externally serialized against both
 /// other ApplyDelta calls and all index/graph readers (the serving layer

@@ -197,15 +197,6 @@ void TransitiveClosureIndex::BuildIncremental(util::ThreadPool* pool) {
   }
 }
 
-double TransitiveClosureIndex::Score(NodeId u, NodeId v) const {
-  const TcMetrics& tm = GetTcMetrics();
-  tm.lookups->Increment();
-  if (u == v) return 1.0;
-  float score = score_[Cell(u, v)];
-  if (score == 0.0f) tm.unreachable->Increment();
-  return score;
-}
-
 uint32_t TransitiveClosureIndex::Distance(NodeId u, NodeId v) const {
   if (u == v) return 0;
   uint8_t d = dist_[Cell(u, v)];

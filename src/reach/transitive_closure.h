@@ -44,13 +44,12 @@ class TransitiveClosureIndex : public WeightedReachability {
                                       uint32_t max_hops, Construction mode,
                                       util::ThreadPool* pool = nullptr);
 
-  double Score(NodeId u, NodeId v) const override;
   ReachQueryResult Query(NodeId u, NodeId v) const override;
   /// Theorem-1 followee count from the distance matrix — no
   /// materialization, no sort.
   ReachCountResult CountQuery(NodeId u, NodeId v) const override;
-  /// The score matrix is already count-free, so this is the same O(1)
-  /// lookup as Score (they return identical values by construction).
+  /// The score matrix is already count-free, so this is one O(1)
+  /// lookup.
   double ScoreOnly(NodeId u, NodeId v) const override;
   uint64_t IndexSizeBytes() const override;
   const char* Name() const override { return "transitive-closure"; }

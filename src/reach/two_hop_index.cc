@@ -525,10 +525,6 @@ ReachCountResult TwoHopIndex::CountQuery(NodeId u, NodeId v) const {
   return result;
 }
 
-double TwoHopIndex::Score(NodeId u, NodeId v) const {
-  return WeightedScore(Query(u, v), g_->OutDegree(u), u == v);
-}
-
 double TwoHopIndex::ScoreOnly(NodeId u, NodeId v) const {
   double score;
   TwoHopIndex::ScoreOnlyMany(u, std::span<const NodeId>(&v, 1), &score);

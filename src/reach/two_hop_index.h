@@ -69,7 +69,6 @@ class TwoHopIndex : public WeightedReachability {
   static TwoHopIndex Build(const graph::DirectedGraph* g, uint32_t max_hops,
                            util::ThreadPool* pool = nullptr);
 
-  double Score(NodeId u, NodeId v) const override;
   ReachQueryResult Query(NodeId u, NodeId v) const override;
   ReachCountResult CountQuery(NodeId u, NodeId v) const override;
   double ScoreOnly(NodeId u, NodeId v) const override;

@@ -42,8 +42,8 @@ struct ReachCountResult {
 };
 
 /// \brief Eq.-4 score from (distance, |F_uv|) alone. Shares the exact
-/// branch structure and arithmetic of WeightedScore below so Score and
-/// ScoreOnly are bitwise equal on every backend.
+/// branch structure and arithmetic of WeightedScore below, so a score
+/// derived from Query is bitwise equal to ScoreOnly on every backend.
 inline double WeightedScoreFromCount(uint32_t distance,
                                      uint32_t followee_count,
                                      uint32_t out_degree, bool same_node) {
@@ -98,8 +98,9 @@ struct MutationContext {
   util::ThreadPool* pool = nullptr;
 };
 
-/// \brief Common interface of the three weighted-reachability backends
-/// (naive BFS, extended transitive closure, extended 2-hop cover).
+/// \brief Common interface of the five weighted-reachability backends
+/// (naive BFS, pruned online search, extended transitive closure,
+/// extended 2-hop cover, distance-only 2-hop labels).
 ///
 /// All backends answer with identical semantics; they differ in
 /// pre-computation time, index size, and query latency — the trade-off
@@ -108,11 +109,7 @@ class WeightedReachability {
  public:
   virtual ~WeightedReachability() = default;
 
-  /// Weighted reachability score R(u, v) in [0, 1].
-  virtual double Score(NodeId u, NodeId v) const = 0;
-
-  /// Raw distance + followee-set query (Eq. 5). Backends that only store
-  /// scores (the transitive closure) do not implement this.
+  /// Raw distance + followee-set query (Eq. 5).
   virtual ReachQueryResult Query(NodeId u, NodeId v) const = 0;
 
   /// Count-only query: (d_uv, |F_uv|) without materializing F_uv. The
@@ -124,10 +121,12 @@ class WeightedReachability {
                             static_cast<uint32_t>(r.followees.size())};
   }
 
-  /// Eq.-4 score via the count-only path. Bitwise equal to Score() on
-  /// every backend (both funnel through WeightedScoreFromCount); the
-  /// default simply forwards so existing subclasses stay correct.
-  virtual double ScoreOnly(NodeId u, NodeId v) const { return Score(u, v); }
+  /// Weighted reachability score R(u, v) in [0, 1] (Eq. 4). The
+  /// production backends answer it from (d_uv, |F_uv|) without
+  /// materializing F_uv. Bitwise equal to
+  /// WeightedScore(Query(u, v), ...) on every backend but the transitive
+  /// closure, which stores its scores as floats.
+  virtual double ScoreOnly(NodeId u, NodeId v) const = 0;
 
   /// One-to-many ScoreOnly: out[i] = ScoreOnly(u, vs[i]) for every i,
   /// bitwise (`out` has room for vs.size() scores). Eq. 8 asks this for

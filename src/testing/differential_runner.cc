@@ -13,7 +13,6 @@
 #include "reach/distance_label_index.h"
 #include "reach/naive_reachability.h"
 #include "reach/pruned_online_search.h"
-#include "reach/reach_cache.h"
 #include "reach/reach_maintainer.h"
 #include "reach/transitive_closure.h"
 #include "reach/two_hop_index.h"
@@ -187,7 +186,6 @@ void CheckReachability(const RandomWorkload& w, const DiffOptions& opts,
   auto dli = reach::DistanceLabelIndex::Build(&g, w.max_hops);
   auto pruned = reach::PrunedOnlineSearch::Build(
       &g, w.max_hops, 3, DeriveSeed(w.seed, kPrunedBuildStream));
-  reach::CachedReachability cached(&naive, &g);
 
   // Save -> mmap-load -> query round trip: the zero-copy mapped views of
   // both arena backends must be query-for-query identical to the
@@ -211,9 +209,9 @@ void CheckReachability(const RandomWorkload& w, const DiffOptions& opts,
   // identical inputs — scores must match bit for bit, distances exactly.
   for (graph::NodeId u = 0; u < n && !rec.full(); ++u) {
     for (graph::NodeId v = 0; v < n && !rec.full(); ++v) {
-      const double inc = tc_inc.Score(u, v);
-      const double nav = tc_naive.Score(u, v);
-      const double ser = tc_serial.Score(u, v);
+      const double inc = tc_inc.ScoreOnly(u, v);
+      const double nav = tc_naive.ScoreOnly(u, v);
+      const double ser = tc_serial.ScoreOnly(u, v);
       rec.Check(inc == nav && inc == ser,
                 "tc-construction-mismatch u=" + std::to_string(u) +
                     " v=" + std::to_string(v) +
@@ -255,13 +253,9 @@ void CheckReachability(const RandomWorkload& w, const DiffOptions& opts,
                 std::string(name) + "-query-mismatch" + where + " got " +
                     DescribeQueryResult(q) + " oracle " +
                     DescribeQueryResult(oracle_q));
-      const double s = backend.Score(u, v);
-      rec.Check(s == oracle_s, std::string(name) + "-score-mismatch" +
-                                   where + " got " + std::to_string(s) +
-                                   " oracle " + std::to_string(oracle_s));
       // Count-only fast path: (distance, |F_uv|) must match the oracle
-      // set exactly, and ScoreOnly must be bitwise-equal to Score (both
-      // funnel through WeightedScoreFromCount).
+      // set exactly, and ScoreOnly must be bitwise-equal to the oracle's
+      // Eq.-4 score (both funnel through WeightedScoreFromCount).
       const auto cq = backend.CountQuery(u, v);
       rec.Check(cq.distance == oracle_q.distance &&
                     cq.followee_count == oracle_q.followees.size(),
@@ -270,9 +264,9 @@ void CheckReachability(const RandomWorkload& w, const DiffOptions& opts,
                     std::to_string(cq.followee_count) + "} oracle " +
                     DescribeQueryResult(oracle_q));
       const double so = backend.ScoreOnly(u, v);
-      rec.Check(so == s, std::string(name) + "-score-only-mismatch" +
-                             where + " got " + std::to_string(so) +
-                             " score " + std::to_string(s));
+      rec.Check(so == oracle_s, std::string(name) + "-score-only-mismatch" +
+                                    where + " got " + std::to_string(so) +
+                                    " oracle " + std::to_string(oracle_s));
     };
     check_exact("naive", naive);
     check_exact("two-hop", two_hop);
@@ -280,21 +274,19 @@ void CheckReachability(const RandomWorkload& w, const DiffOptions& opts,
     check_exact("dist-label", dli);
     check_exact("dist-label-mmap", dli_mapped);
     check_exact("pruned-online", pruned);
-    check_exact("cached", cached);
-    check_exact("cached-hit", cached);  // second call exercises the hit path
 
     const auto tc_q = tc_inc.Query(u, v);
     rec.Check(SameQueryResult(tc_q, oracle_q),
               "tc-query-mismatch" + where + " got " +
                   DescribeQueryResult(tc_q) + " oracle " +
                   DescribeQueryResult(oracle_q));
-    rec.Check(Near(tc_inc.Score(u, v), oracle_s, kFloatTol),
-              "tc-score-mismatch" + where + " got " +
-                  std::to_string(tc_inc.Score(u, v)) + " oracle " +
+    const double tc_s = tc_inc.ScoreOnly(u, v);
+    rec.Check(Near(tc_s, oracle_s, kFloatTol),
+              "tc-score-only-mismatch" + where + " got " +
+                  std::to_string(tc_s) + " oracle " +
                   std::to_string(oracle_s));
     // TC count path: distances and counts are integers, so exact even
-    // though the stored scores are floats; ScoreOnly reads the same
-    // matrix cell as Score, hence bitwise equality.
+    // though the stored scores are floats.
     const auto tc_cq = tc_inc.CountQuery(u, v);
     rec.Check(tc_cq.distance == oracle_q.distance &&
                   tc_cq.followee_count == oracle_q.followees.size(),
@@ -302,8 +294,6 @@ void CheckReachability(const RandomWorkload& w, const DiffOptions& opts,
                   std::to_string(tc_cq.distance) + " n=" +
                   std::to_string(tc_cq.followee_count) + "} oracle " +
                   DescribeQueryResult(oracle_q));
-    rec.Check(tc_inc.ScoreOnly(u, v) == tc_inc.Score(u, v),
-              "tc-score-only-mismatch" + where);
   }
 
   const NamedBackend one_to_many[] = {
@@ -313,7 +303,6 @@ void CheckReachability(const RandomWorkload& w, const DiffOptions& opts,
       {"dist-label", &dli, 0},
       {"dist-label-mmap", &dli_mapped, 0},
       {"pruned-online", &pruned, 0},
-      {"cached", &cached, 0},
       {"tc", &tc_inc, kFloatTol},
   };
   Rng many_rng(DeriveSeed(w.seed, kOneToManyStream));
@@ -658,7 +647,6 @@ void CheckFullPipeline(const RandomWorkload& w, Recorder& rec) {
   auto dli = reach::DistanceLabelIndex::Build(&g, w.max_hops);
   auto pruned = reach::PrunedOnlineSearch::Build(
       &g, w.max_hops, 3, DeriveSeed(w.seed, kPrunedBuildStream));
-  reach::CachedReachability cached(&naive, &g);
   OracleReachability oracle_reach(&g, w.max_hops);
 
   struct Config {
@@ -675,7 +663,6 @@ void CheckFullPipeline(const RandomWorkload& w, Recorder& rec) {
       {"two-hop", &two_hop, true, true, kOracleTol},
       {"dist-label", &dli, true, true, kOracleTol},
       {"pruned-online", &pruned, true, true, kOracleTol},
-      {"cached-naive", &cached, false, true, kOracleTol},
   };
   constexpr size_t kNumConfigs = std::size(configs);
 
@@ -721,10 +708,6 @@ void CheckFullPipeline(const RandomWorkload& w, Recorder& rec) {
 
     // Same backend, different cache configuration: bitwise identical.
     CompareExact(results[0], configs[0].name, results[1], configs[1].name,
-                 w, qi, rec);
-    // cached(naive) serves naive's exact query results: bitwise identical
-    // to the uncached naive configuration with the same index setting.
-    CompareExact(results[1], configs[1].name, results[6], configs[6].name,
                  w, qi, rec);
 
     // Everything against the oracle pipeline, tolerance per backend.
@@ -803,7 +786,6 @@ void CheckIncrementalMaintenance(const RandomWorkload& w,
   const uint64_t pruned_seed = DeriveSeed(w.seed, kPrunedBuildStream);
   auto pruned =
       reach::PrunedOnlineSearch::Build(&live, w.max_hops, 3, pruned_seed);
-  reach::CachedReachability cached(&naive, &live);
 
   reach::ReachMaintainer maintainer(&live, w.max_hops);
   maintainer.Register(&naive);  // kUnaffected: queries the live graph
@@ -811,7 +793,6 @@ void CheckIncrementalMaintenance(const RandomWorkload& w,
   maintainer.Register(&two_hop);
   maintainer.Register(&dli);
   maintainer.Register(&pruned);
-  maintainer.Register(&cached);  // after its base; precise invalidation
 
   const uint32_t n = live.num_nodes();
   Rng rng(DeriveSeed(w.seed, kMutationCheckStream));
@@ -830,14 +811,6 @@ void CheckIncrementalMaintenance(const RandomWorkload& w,
       *v = static_cast<graph::NodeId>(rng.Uniform(n));
     }
   };
-
-  // Warm the cache so the invalidation path has entries to drop.
-  for (uint32_t i = 0; i < opts.mutation_pair_samples; ++i) {
-    graph::NodeId u, v;
-    sample_pair(&u, &v);
-    (void)cached.Query(u, v);
-    (void)cached.ScoreOnly(u, v);
-  }
 
   // Tweet ingestion feeds the streaming burst counter; the oracle
   // replays the identical stream through the dense reference.
@@ -896,18 +869,18 @@ void CheckIncrementalMaintenance(const RandomWorkload& w,
                       std::to_string(u) + " v=" + std::to_string(v) +
                       " patched=" + std::to_string(tc.Distance(u, v)) +
                       " fresh=" + std::to_string(tc_fresh.Distance(u, v)));
-        rec.Check(tc.Score(u, v) == tc_fresh.Score(u, v),
+        rec.Check(tc.ScoreOnly(u, v) == tc_fresh.ScoreOnly(u, v),
                   "tc-patch-score-mismatch" + at + " u=" +
                       std::to_string(u) + " v=" + std::to_string(v) +
-                      " patched=" + std::to_string(tc.Score(u, v)) +
-                      " fresh=" + std::to_string(tc_fresh.Score(u, v)));
+                      " patched=" + std::to_string(tc.ScoreOnly(u, v)) +
+                      " fresh=" + std::to_string(tc_fresh.ScoreOnly(u, v)));
       }
     }
 
-    // Label indexes, pruned search, and the invalidated cache: sampled
-    // pairs against the live-graph BFS backend (ground truth) and the
-    // fresh rebuilds. A patched label index may carry MORE labels than
-    // the fresh build — equality is demanded of query results only.
+    // Label indexes and pruned search: sampled pairs against the
+    // live-graph BFS backend (ground truth) and the fresh rebuilds. A
+    // patched label index may carry MORE labels than the fresh build —
+    // equality is demanded of query results only.
     for (uint32_t s = 0; s < opts.mutation_pair_samples && !rec.full();
          ++s) {
       graph::NodeId u, v;
@@ -934,15 +907,12 @@ void CheckIncrementalMaintenance(const RandomWorkload& w,
       check("dist-label", dli);
       check("dist-label-fresh", dli_fresh);
       check("pruned-online", pruned);
-      check("cached", cached);
-      check("cached-hit", cached);
     }
     const NamedBackend one_to_many[] = {
         {"two-hop-patch", &two_hop, 0},
         {"two-hop-fresh", &two_hop_fresh, 0},
         {"dist-label-patch", &dli, 0},
         {"pruned-online-patch", &pruned, 0},
-        {"cached-patch", &cached, 0},
     };
     CheckScoreOnlyMany(live, w.max_hops, one_to_many, at, many_rng, rec);
 
@@ -973,10 +943,10 @@ void CheckIncrementalMaintenance(const RandomWorkload& w,
 }
 
 // ---------------------------------------------------------------------------
-// SIMD kernel tiers: every supported vectorized table vs scalar
+// SIMD kernel tiers: the AVX2 table vs scalar
 // ---------------------------------------------------------------------------
 
-/// Replays every vectorized kernel tier the host+build supports against
+/// Replays the AVX2 kernel tier, when the host+build supports it, against
 /// the scalar table on workload-derived operands — real WLM inlink
 /// lists — plus synthesized probe tables and frontier words. This is the
 /// vectorized/scalar half of the oracle sweep the kernels' bit-identity
@@ -984,12 +954,9 @@ void CheckIncrementalMaintenance(const RandomWorkload& w,
 void CheckSimdKernels(const RandomWorkload& w, const DiffOptions& opts,
                       Recorder& rec) {
   namespace simd = util::simd;
-  std::vector<simd::Level> vec_levels;
-  for (simd::Level l : {simd::Level::kSse4, simd::Level::kAvx2}) {
-    if (simd::LevelSupported(l)) vec_levels.push_back(l);
-  }
-  if (vec_levels.empty()) return;
+  if (!simd::LevelSupported(simd::Level::kAvx2)) return;
   const simd::KernelTable& scalar = simd::KernelsFor(simd::Level::kScalar);
+  const simd::KernelTable& avx2 = simd::KernelsFor(simd::Level::kAvx2);
 
   Rng rng(DeriveSeed(w.seed, kSimdKernelStream));
   const kb::Knowledgebase& kb = w.world.kb();
@@ -1004,19 +971,14 @@ void CheckSimdKernels(const RandomWorkload& w, const DiffOptions& opts,
         scalar.merge_count(la.data(), la.size(), lb.data(), lb.size());
     const uint32_t want_gallop =
         scalar.gallop_count(la.data(), la.size(), lb.data(), lb.size());
-    for (simd::Level l : vec_levels) {
-      const simd::KernelTable& t = simd::KernelsFor(l);
-      rec.Check(t.merge_count(la.data(), la.size(), lb.data(), lb.size()) ==
-                    want_merge,
-                std::string("simd-merge-mismatch level=") +
-                    simd::LevelName(l) + " a=" + std::to_string(a) +
-                    " b=" + std::to_string(b));
-      rec.Check(t.gallop_count(la.data(), la.size(), lb.data(),
-                               lb.size()) == want_gallop,
-                std::string("simd-gallop-mismatch level=") +
-                    simd::LevelName(l) + " a=" + std::to_string(a) +
-                    " b=" + std::to_string(b));
-    }
+    rec.Check(avx2.merge_count(la.data(), la.size(), lb.data(),
+                               lb.size()) == want_merge,
+              "simd-merge-mismatch level=avx2 a=" + std::to_string(a) +
+                  " b=" + std::to_string(b));
+    rec.Check(avx2.gallop_count(la.data(), la.size(), lb.data(),
+                                lb.size()) == want_gallop,
+              "simd-gallop-mismatch level=avx2 a=" + std::to_string(a) +
+                  " b=" + std::to_string(b));
   }
 
   // Probe-scan kernel on a synthesized open-addressed table (same
@@ -1040,13 +1002,9 @@ void CheckSimdKernels(const RandomWorkload& w, const DiffOptions& opts,
                              : (rng.Next() | 1);
     const size_t start = rng.Uniform(kCap);
     const size_t want = scalar.probe_scan(keys.data(), kMask, key, start);
-    for (simd::Level l : vec_levels) {
-      rec.Check(
-          simd::KernelsFor(l).probe_scan(keys.data(), kMask, key, start) ==
-              want,
-          std::string("simd-probe-mismatch level=") + simd::LevelName(l) +
-              " key=" + Hex(key) + " start=" + std::to_string(start));
-    }
+    rec.Check(avx2.probe_scan(keys.data(), kMask, key, start) == want,
+              "simd-probe-mismatch level=avx2 key=" + Hex(key) +
+                  " start=" + std::to_string(start));
   }
 
   // Frontier kernel on random bit words (including non-multiple-of-lane
@@ -1058,15 +1016,10 @@ void CheckSimdKernels(const RandomWorkload& w, const DiffOptions& opts,
     for (auto& x : visited) x = rng.Next();
     std::vector<uint64_t> want = next;
     scalar.frontier_and_not(want.data(), visited.data(), nwords);
-    for (simd::Level l : vec_levels) {
-      std::vector<uint64_t> got = next;
-      simd::KernelsFor(l).frontier_and_not(got.data(), visited.data(),
-                                           nwords);
-      rec.Check(got == want,
-                std::string("simd-frontier-mismatch level=") +
-                    simd::LevelName(l) +
-                    " nwords=" + std::to_string(nwords));
-    }
+    std::vector<uint64_t> got = next;
+    avx2.frontier_and_not(got.data(), visited.data(), nwords);
+    rec.Check(got == want, "simd-frontier-mismatch level=avx2 nwords=" +
+                               std::to_string(nwords));
   }
 }
 

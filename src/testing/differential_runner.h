@@ -47,11 +47,11 @@ struct DiffReport {
 /// configuration pair and the mel::testing oracles:
 ///
 ///  * reachability — naive BFS, TC-incremental, TC-naive, TC built on a
-///    1-thread pool, 2-hop cover, distance-label ablation,
-///    pruned-online-search, and the sharded read-through cache, all
-///    against the forward-BFS oracle (full V^2 for the TC variants,
-///    sampled pairs elsewhere); every backend additionally proves
-///    CountQuery == |oracle F_uv| and ScoreOnly bitwise-equal to Score;
+///    1-thread pool, 2-hop cover, distance-label ablation, and
+///    pruned-online-search, all against the forward-BFS oracle (full
+///    V^2 for the TC variants, sampled pairs elsewhere); every backend
+///    additionally proves CountQuery == |oracle F_uv| and ScoreOnly
+///    equal to the oracle's Eq.-4 score (bitwise but for the TC);
 ///  * fuzzy candidate generation — SegmentFuzzyIndex::Lookup against the
 ///    brute-force edit-distance scan;
 ///  * WLM — CSR merge/gallop intersection against std::set_intersection;
@@ -70,9 +70,8 @@ struct DiffReport {
 ///    every patched index is exact-checked against a from-scratch
 ///    rebuild on the mutated graph (full V^2 for the transitive
 ///    closure, sampled pairs with the live-graph BFS backend as ground
-///    truth elsewhere), the invalidated cache against its base, and the
-///    incrementally-fed BurstTracker against a dense replay oracle of
-///    the stamped-ring semantics.
+///    truth elsewhere), and the incrementally-fed BurstTracker against
+///    a dense replay oracle of the stamped-ring semantics.
 ///
 /// Exact equality is demanded wherever implementations share the same
 /// arithmetic (cache on/off, serial/pooled, naive vs 2-hop vs pruned);

@@ -360,7 +360,7 @@ core::MentionLinkResult OracleLinkMention(
       if (!influential.empty()) {
         double sum = 0;
         for (const auto& inf : influential) {
-          sum += reachability.Score(user, inf.user);
+          sum += reachability.ScoreOnly(user, inf.user);
         }
         interest[i] = sum / static_cast<double>(influential.size());
       }

@@ -64,7 +64,7 @@ class OracleReachability : public reach::WeightedReachability {
   OracleReachability(const graph::DirectedGraph* g, uint32_t max_hops)
       : g_(g), max_hops_(max_hops) {}
 
-  double Score(graph::NodeId u, graph::NodeId v) const override {
+  double ScoreOnly(graph::NodeId u, graph::NodeId v) const override {
     return OracleReachScore(*g_, u, v, max_hops_);
   }
   reach::ReachQueryResult Query(graph::NodeId u,

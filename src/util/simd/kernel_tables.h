@@ -2,8 +2,8 @@
 #define MEL_UTIL_SIMD_KERNEL_TABLES_H_
 
 // Internal seam between the dispatcher (simd.cc) and the per-tier kernel
-// translation units. Each TU exports exactly one provider; the SSE4 and
-// AVX2 providers return nullptr when the binary was configured without
+// translation units. Each TU exports exactly one provider; the AVX2
+// provider returns nullptr when the binary was configured without
 // that tier (non-x86 target or the compiler lacking the flag), which is
 // how LevelSupported() learns what this build actually contains.
 // Includes only simd_types.h — no inline code may leak into the
@@ -14,7 +14,6 @@
 namespace mel::util::simd::detail {
 
 const KernelTable* ScalarKernels();  // never nullptr
-const KernelTable* Sse4KernelsOrNull();
 const KernelTable* Avx2KernelsOrNull();
 
 }  // namespace mel::util::simd::detail

@@ -2,13 +2,13 @@
 #define MEL_UTIL_SIMD_KERNELS_COMMON_H_
 
 // Scalar cores shared by every kernel translation unit. The scalar tier
-// registers these directly; the SSE4/AVX2 tiers call them for short
+// registers these directly; the AVX2 tier calls them for short
 // inputs, vector tails, and the duplicate-heavy fallback steps — so the
 // exact semantics (pairwise duplicate counting, lower-bound positions)
 // are written exactly once.
 //
-// Everything here is `static inline` ON PURPOSE: the SSE4/AVX2 TUs are
-// compiled with arch flags, and an ordinary `inline` function would be
+// Everything here is `static inline` ON PURPOSE: the AVX2 TU is
+// compiled with an arch flag, and an ordinary `inline` function would be
 // a comdat the linker may pick from the vectorized TU for the whole
 // binary — executing AVX instructions on the pre-dispatch path of a
 // baseline host. Internal linkage gives every TU its own baseline-or-

@@ -12,8 +12,6 @@ const char* LevelName(Level level) {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSse4:
-      return "sse4";
     case Level::kAvx2:
       return "avx2";
   }
@@ -24,7 +22,6 @@ const CpuFeatures& CpuFeatures::Detect() {
   static const CpuFeatures features = [] {
     CpuFeatures f;
 #if defined(__x86_64__) || defined(__i386__)
-    f.sse4_2 = __builtin_cpu_supports("sse4.2") != 0;
     f.avx2 = __builtin_cpu_supports("avx2") != 0;
 #endif
     return f;
@@ -40,8 +37,6 @@ bool TierBuilt(Level level) {
   switch (level) {
     case Level::kScalar:
       return true;
-    case Level::kSse4:
-      return detail::Sse4KernelsOrNull() != nullptr;
     case Level::kAvx2:
       return detail::Avx2KernelsOrNull() != nullptr;
   }
@@ -52,8 +47,6 @@ bool CpuSupports(Level level, const CpuFeatures& features) {
   switch (level) {
     case Level::kScalar:
       return true;
-    case Level::kSse4:
-      return features.sse4_2;
     case Level::kAvx2:
       return features.avx2;
   }
@@ -63,9 +56,6 @@ bool CpuSupports(Level level, const CpuFeatures& features) {
 Level BestSupported(const CpuFeatures& features) {
   if (CpuSupports(Level::kAvx2, features) && TierBuilt(Level::kAvx2)) {
     return Level::kAvx2;
-  }
-  if (CpuSupports(Level::kSse4, features) && TierBuilt(Level::kSse4)) {
-    return Level::kSse4;
   }
   return Level::kScalar;
 }
@@ -78,19 +68,17 @@ Level ResolveLevel(const char* override_name, const CpuFeatures& features) {
   Level requested;
   if (std::strcmp(override_name, "scalar") == 0) {
     requested = Level::kScalar;
-  } else if (std::strcmp(override_name, "sse4") == 0) {
-    requested = Level::kSse4;
   } else if (std::strcmp(override_name, "avx2") == 0) {
     requested = Level::kAvx2;
   } else {
     std::fprintf(stderr,
                  "mel: unknown MEL_SIMD value \"%s\" "
-                 "(expected scalar|sse4|avx2), auto-detecting\n",
+                 "(expected scalar|avx2), auto-detecting\n",
                  override_name);
     return best;
   }
   // Requests above the host/build capability clamp down rather than
-  // fail: MEL_SIMD=avx2 on an SSE4-only machine means "the best you
+  // fail: MEL_SIMD=avx2 on a machine without AVX2 means "the best you
   // can", never an illegal instruction.
   if (static_cast<int>(requested) > static_cast<int>(best)) {
     std::fprintf(stderr,
@@ -120,8 +108,6 @@ Level ActiveLevel() {
 const KernelTable& KernelsFor(Level level) {
   MEL_CHECK_MSG(LevelSupported(level), "requested SIMD tier unavailable");
   switch (level) {
-    case Level::kSse4:
-      return *detail::Sse4KernelsOrNull();
     case Level::kAvx2:
       return *detail::Avx2KernelsOrNull();
     case Level::kScalar:

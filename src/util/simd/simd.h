@@ -3,10 +3,10 @@
 
 // Public face of the vectorized kernel layer (docs/PERFORMANCE.md,
 // "Vectorized kernels"): runtime CPU-feature dispatch over scalar /
-// SSE4.2 / AVX2 implementations of the three integer hot loops — sorted
+// AVX2 implementations of the three integer hot loops — sorted
 // intersection (merge + gallop), the fuzzy-index probe scan, and the
 // dense-BFS frontier filter. Only the
-// kernel TUs are built with arch flags; everything that executes before
+// AVX2 kernel TU is built with an arch flag; everything that executes before
 // dispatch is baseline code, so the same binary runs on hosts without
 // AVX2 (and under MEL_SIMD=scalar everywhere).
 //
@@ -29,7 +29,7 @@ Level ResolveLevel(const char* override_name, const CpuFeatures& features);
 
 /// The tier every dispatched kernel call uses. Resolved once on first
 /// use from CpuFeatures::Detect() and the MEL_SIMD environment variable
-/// (scalar | sse4 | avx2; requests above the host's capability clamp
+/// (scalar | avx2; requests above the host's capability clamp
 /// down), then pinned for the process lifetime and published as the
 /// util.simd.level gauge.
 Level ActiveLevel();

@@ -3,8 +3,8 @@
 
 // Types shared between the dispatcher (simd.h / simd.cc) and the
 // per-tier kernel translation units. This header deliberately contains
-// NO inline function definitions: the SSE4/AVX2 TUs are compiled with
-// arch flags, and any comdat (inline/template) function they emitted
+// NO inline function definitions: the AVX2 TU is compiled with an
+// arch flag, and any comdat (inline/template) function it emitted
 // could be chosen by the linker for the whole binary — an illegal-
 // instruction trap waiting for a baseline host. Keeping this header to
 // plain declarations makes that impossible by construction.
@@ -16,20 +16,19 @@ namespace mel::util::simd {
 
 /// Instruction-set tiers the kernel layer can dispatch to. Values are
 /// ordered: a higher tier implies every capability of the lower ones,
-/// and `util.simd.level` exports the active value verbatim.
+/// and `util.simd.level` exports the active value verbatim (the gap at
+/// 1 keeps the exported avx2 value stable).
 enum class Level : int {
   kScalar = 0,
-  kSse4 = 1,
   kAvx2 = 2,
 };
 
-/// Human-readable tier name ("scalar" / "sse4" / "avx2").
+/// Human-readable tier name ("scalar" / "avx2").
 const char* LevelName(Level level);
 
 /// What the host CPU can execute, probed once per process (cpuid via
 /// __builtin_cpu_supports on x86; everything false elsewhere).
 struct CpuFeatures {
-  bool sse4_2 = false;
   bool avx2 = false;
 
   static const CpuFeatures& Detect();

@@ -1,11 +1,10 @@
 #ifndef MEL_UTIL_SORTED_INTERSECT_H_
 #define MEL_UTIL_SORTED_INTERSECT_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
+#include <utility>
 
 #include "util/simd/simd.h"
 
@@ -16,85 +15,21 @@ namespace mel::util {
 /// both hot paths dispatch on the same empirical constant.
 inline constexpr size_t kGallopRatio = 16;
 
-/// Sorted-list intersection by linear merge. Both spans must be sorted
-/// ascending; duplicates (if any) are counted pairwise like
-/// std::set_intersection.
-template <typename T>
-uint32_t MergeIntersectCount(std::span<const T> small,
-                             std::span<const T> large) {
-  uint32_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < small.size() && j < large.size()) {
-    if (small[i] < large[j]) {
-      ++i;
-    } else if (small[i] > large[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
-
-/// Galloping intersection for skewed sizes: for each id of the short
-/// list, exponential-search a bracket in the long list from the previous
-/// position, then binary-search inside it — O(|small| * log(|large|))
-/// instead of O(|small| + |large|).
-template <typename T>
-uint32_t GallopIntersectCount(std::span<const T> small,
-                              std::span<const T> large) {
-  uint32_t count = 0;
-  size_t lo = 0;
-  for (T x : small) {
-    size_t step = 1;
-    size_t hi = lo;
-    while (hi < large.size() && large[hi] < x) {
-      lo = hi + 1;
-      hi += step;
-      step <<= 1;
-    }
-    hi = std::min(hi, large.size());
-    const auto* it = std::lower_bound(large.data() + lo, large.data() + hi, x);
-    lo = static_cast<size_t>(it - large.data());
-    if (lo == large.size()) break;
-    if (large[lo] == x) {
-      ++count;
-      ++lo;
-    }
-  }
-  return count;
-}
-
-/// True for element types the vectorized kernel layer handles: 32-bit
-/// unsigned integers (NodeId, EntityId, and friends).
-template <typename T>
-inline constexpr bool kSimdIntersectable =
-    std::is_integral_v<T> && std::is_unsigned_v<T> && sizeof(T) == 4;
-
-/// Dispatching entry point: swaps so the smaller span leads, gallops when
-/// the size ratio crosses kGallopRatio, merges otherwise. 32-bit unsigned
-/// element types route through the runtime-dispatched vectorized kernels
-/// (util/simd/simd.h) — same ratio split, bit-identical counts; other
-/// types keep the portable templates above.
-template <typename T>
-uint32_t SortedIntersectCount(std::span<const T> a, std::span<const T> b) {
+/// Intersection count of two sorted u32 spans (NodeId, EntityId);
+/// duplicates count pairwise like std::set_intersection. Swaps so the
+/// smaller span leads, gallops when the size ratio crosses kGallopRatio,
+/// merges otherwise — both through the runtime-dispatched vectorized
+/// kernels (util/simd/simd.h).
+inline uint32_t SortedIntersectCount(std::span<const uint32_t> a,
+                                     std::span<const uint32_t> b) {
   if (a.size() > b.size()) std::swap(a, b);
   if (a.empty()) return 0;
-  if constexpr (kSimdIntersectable<T>) {
-    const auto* pa = reinterpret_cast<const uint32_t*>(a.data());
-    const auto* pb = reinterpret_cast<const uint32_t*>(b.data());
-    if (b.size() / a.size() >= kGallopRatio) {
-      return simd::GallopIntersectCountU32(pa, a.size(), pb, b.size());
-    }
-    return simd::MergeIntersectCountU32(pa, a.size(), pb, b.size());
-  } else {
-    if (b.size() / a.size() >= kGallopRatio) {
-      return GallopIntersectCount(a, b);
-    }
-    return MergeIntersectCount(a, b);
+  if (b.size() / a.size() >= kGallopRatio) {
+    return simd::GallopIntersectCountU32(a.data(), a.size(), b.data(),
+                                         b.size());
   }
+  return simd::MergeIntersectCountU32(a.data(), a.size(), b.data(),
+                                      b.size());
 }
 
 }  // namespace mel::util

@@ -16,7 +16,6 @@
 #include "kb/knowledgebase.h"
 #include "reach/naive_reachability.h"
 #include "reach/pruned_online_search.h"
-#include "reach/reach_cache.h"
 #include "reach/transitive_closure.h"
 #include "reach/two_hop_index.h"
 #include "recency/propagation_network.h"
@@ -290,14 +289,12 @@ class BackendFixture : public ::testing::Test {
         reach::TwoHopIndex::Build(&graph_, 5));
     pruned_ = std::make_unique<reach::PrunedOnlineSearch>(
         reach::PrunedOnlineSearch::Build(&graph_, 5, 3, /*seed=*/123));
-    cached_ = std::make_unique<reach::CachedReachability>(naive_.get(),
-                                                          &graph_);
     oracle_ = std::make_unique<OracleReachability>(&graph_, 5);
     network_ = std::make_unique<recency::PropagationNetwork>(
         recency::PropagationNetwork::Build(kb_, 0.3));
 
-    backends_ = {naive_.get(),   tc_.get(),     two_hop_.get(),
-                 pruned_.get(),  cached_.get(), oracle_.get()};
+    backends_ = {naive_.get(), tc_.get(), two_hop_.get(), pruned_.get(),
+                 oracle_.get()};
   }
 
   core::EntityLinker MakeLinker(const reach::WeightedReachability* reach,
@@ -321,7 +318,6 @@ class BackendFixture : public ::testing::Test {
   std::unique_ptr<reach::TransitiveClosureIndex> tc_;
   std::unique_ptr<reach::TwoHopIndex> two_hop_;
   std::unique_ptr<reach::PrunedOnlineSearch> pruned_;
-  std::unique_ptr<reach::CachedReachability> cached_;
   std::unique_ptr<OracleReachability> oracle_;
   std::unique_ptr<recency::PropagationNetwork> network_;
   std::vector<const reach::WeightedReachability*> backends_;

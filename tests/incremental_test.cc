@@ -24,7 +24,6 @@
 #include "reach/distance_label_index.h"
 #include "reach/naive_reachability.h"
 #include "reach/pruned_online_search.h"
-#include "reach/reach_cache.h"
 #include "reach/transitive_closure.h"
 #include "reach/two_hop_index.h"
 #include "recency/burst_tracker.h"
@@ -49,7 +48,7 @@ graph::DirectedGraph MakeDiamondGraph() {
 }
 
 /// Every production backend built over one live graph, registered with a
-/// maintainer in the documented order (cache strictly after its base).
+/// maintainer.
 struct Rig {
   graph::DirectedGraph g;
   reach::NaiveReachability naive;
@@ -57,7 +56,6 @@ struct Rig {
   reach::TwoHopIndex two_hop;
   reach::DistanceLabelIndex dli;
   reach::PrunedOnlineSearch pruned;
-  reach::CachedReachability cached;
   reach::ReachMaintainer maintainer;
 
   explicit Rig(graph::DirectedGraph graph, uint32_t max_hops = kMaxHops)
@@ -70,21 +68,19 @@ struct Rig {
         dli(reach::DistanceLabelIndex::Build(&g, max_hops)),
         pruned(reach::PrunedOnlineSearch::Build(&g, max_hops, 3,
                                                 /*seed=*/42)),
-        cached(&naive, &g),
         maintainer(&g, max_hops) {
     maintainer.Register(&naive);
     maintainer.Register(&tc);
     maintainer.Register(&two_hop);
     maintainer.Register(&dli);
     maintainer.Register(&pruned);
-    maintainer.Register(&cached);
   }
 
   std::vector<std::pair<const char*, const reach::WeightedReachability*>>
   backends() const {
     return {{"naive", &naive},     {"tc", &tc},
             {"two-hop", &two_hop}, {"dist-label", &dli},
-            {"pruned", &pruned},   {"cached", &cached}};
+            {"pruned", &pruned}};
   }
 
   reach::ReachMaintainer::ApplyResult Apply(graph::EdgeDelta::Op op,
@@ -105,7 +101,6 @@ enum BackendIndex : size_t {
   kTwoHopIdx,
   kDliIdx,
   kPrunedIdx,
-  kCachedIdx,
 };
 
 void ExpectQuery(const Rig& rig, graph::NodeId u, graph::NodeId v,
@@ -123,9 +118,7 @@ void ExpectQuery(const Rig& rig, graph::NodeId u, graph::NodeId v,
     // The transitive closure stores float scores; everything else feeds
     // exact integers into WeightedScoreFromCount and is bit-identical.
     const double tol = backend == &rig.tc ? 1e-6 : 0.0;
-    EXPECT_NEAR(backend->Score(u, v), score, tol)
-        << name << " " << u << "->" << v;
-    EXPECT_EQ(backend->ScoreOnly(u, v), backend->Score(u, v))
+    EXPECT_NEAR(backend->ScoreOnly(u, v), score, tol)
         << name << " " << u << "->" << v;
   }
 }
@@ -139,14 +132,13 @@ TEST(IncrementalHandComputed, InsertShortcutShortensDistances) {
 
   const auto applied = rig.Apply(graph::EdgeDelta::Op::kInsert, 1, 3);
   ASSERT_TRUE(applied.applied);
-  ASSERT_EQ(applied.results.size(), 6u);
+  ASSERT_EQ(applied.results.size(), 5u);
   EXPECT_EQ(applied.results[kNaiveIdx],
             reach::MutationResult::kUnaffected);
   EXPECT_EQ(applied.results[kTcIdx], reach::MutationResult::kPatched);
   EXPECT_EQ(applied.results[kTwoHopIdx], reach::MutationResult::kPatched);
   EXPECT_EQ(applied.results[kDliIdx], reach::MutationResult::kPatched);
   EXPECT_EQ(applied.results[kPrunedIdx], reach::MutationResult::kRebuilt);
-  EXPECT_EQ(applied.results[kCachedIdx], reach::MutationResult::kPatched);
 
   // d(1, 3) collapses to the direct edge; R = 1 by the followee
   // convention.
@@ -161,7 +153,7 @@ TEST(IncrementalHandComputed, EraseReroutesAndDisconnects) {
   Rig rig(MakeDiamondGraph());
   const auto applied = rig.Apply(graph::EdgeDelta::Op::kErase, 4, 2);
   ASSERT_TRUE(applied.applied);
-  ASSERT_EQ(applied.results.size(), 6u);
+  ASSERT_EQ(applied.results.size(), 5u);
   EXPECT_EQ(applied.results[kTcIdx], reach::MutationResult::kPatched);
   // Deletion breaks the pruned-labeling cover (a new shortest path was
   // non-shortest before and never got labeled), so the label indexes
@@ -377,7 +369,6 @@ TEST(IncrementalConcurrency, MutationsRaceScoreOnlyReadersUnderSharedLock) {
         bool ok = rig.two_hop.ScoreOnly(u, v) == want &&
                   rig.dli.ScoreOnly(u, v) == want &&
                   rig.pruned.ScoreOnly(u, v) == want &&
-                  rig.cached.ScoreOnly(u, v) == want &&
                   std::abs(rig.tc.ScoreOnly(u, v) - want) <= 1e-6;
         if (!ok) mismatches.fetch_add(1);
         reads.fetch_add(1);
@@ -401,11 +392,10 @@ TEST(IncrementalConcurrency, MutationsRaceScoreOnlyReadersUnderSharedLock) {
   for (graph::NodeId u = 0; u < kNodes; ++u) {
     for (graph::NodeId v = 0; v < kNodes; ++v) {
       ASSERT_EQ(rig.tc.Distance(u, v), tc_fresh.Distance(u, v));
-      ASSERT_EQ(rig.tc.Score(u, v), tc_fresh.Score(u, v));
+      ASSERT_EQ(rig.tc.ScoreOnly(u, v), tc_fresh.ScoreOnly(u, v));
       ASSERT_EQ(rig.two_hop.ScoreOnly(u, v),
                 two_hop_fresh.ScoreOnly(u, v));
       ASSERT_EQ(rig.dli.ScoreOnly(u, v), dli_fresh.ScoreOnly(u, v));
-      ASSERT_EQ(rig.naive.ScoreOnly(u, v), rig.cached.ScoreOnly(u, v));
     }
   }
 }

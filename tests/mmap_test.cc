@@ -143,7 +143,7 @@ TEST(Mel3ContainerTest, TwoHopMappedMatchesBuiltExactly) {
       auto b = mapped.value().Query(u, v);
       ASSERT_EQ(a.distance, b.distance);
       ASSERT_EQ(a.followees, b.followees);
-      ASSERT_EQ(built.Score(u, v), mapped.value().Score(u, v));
+      ASSERT_EQ(built.ScoreOnly(u, v), mapped.value().ScoreOnly(u, v));
       ASSERT_EQ(built.ScoreOnly(u, v), mapped.value().ScoreOnly(u, v));
     }
   }
@@ -160,7 +160,7 @@ TEST(Mel3ContainerTest, DistanceLabelMappedMatchesBuiltExactly) {
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       ASSERT_EQ(built.Distance(u, v), mapped.value().Distance(u, v));
-      ASSERT_EQ(built.Score(u, v), mapped.value().Score(u, v));
+      ASSERT_EQ(built.ScoreOnly(u, v), mapped.value().ScoreOnly(u, v));
     }
   }
 }
@@ -190,7 +190,7 @@ TEST(Mel3ContainerTest, CopyingLoadOwnsItsArenas) {
   EXPECT_EQ(loaded.value().MappedBytes(), 0u);
   // The file is gone; the owned copy keeps answering.
   std::remove(file.path().c_str());
-  EXPECT_EQ(loaded.value().Score(1, 2), built.Score(1, 2));
+  EXPECT_EQ(loaded.value().ScoreOnly(1, 2), built.ScoreOnly(1, 2));
 }
 
 TEST(Mel3ContainerTest, VerifyChecksumsOptionAcceptsIntactFile) {
@@ -427,7 +427,7 @@ TEST(MmapLifetimeTest, MappingOutlivesLoadScope) {
     return std::move(loaded).value();
   }();
   EXPECT_TRUE(mapped.IsMapped());
-  EXPECT_EQ(mapped.Score(1, 2), built.Score(1, 2));
+  EXPECT_EQ(mapped.ScoreOnly(1, 2), built.ScoreOnly(1, 2));
 }
 
 TEST(MmapLifetimeTest, CopiedIndexSharesTheMapping) {
@@ -442,7 +442,7 @@ TEST(MmapLifetimeTest, CopiedIndexSharesTheMapping) {
   { auto destroyed = std::move(loaded).value(); }
   EXPECT_TRUE(copy->IsMapped());
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_EQ(copy->Score(u, 0), built.Score(u, 0));
+    EXPECT_EQ(copy->ScoreOnly(u, 0), built.ScoreOnly(u, 0));
   }
 }
 
@@ -460,7 +460,7 @@ TEST(MmapLifetimeTest, RemapSameFileTwiceIndependentLifetimes) {
   // Destroy the first mapping; the second keeps answering.
   { auto destroyed = std::move(first).value(); }
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_EQ(second.value().Score(u, 1), built.Score(u, 1));
+    EXPECT_EQ(second.value().ScoreOnly(u, 1), built.ScoreOnly(u, 1));
   }
 }
 
@@ -473,7 +473,7 @@ TEST(MmapLifetimeTest, UnlinkedFileKeepsServing) {
   ASSERT_TRUE(mapped.ok());
   std::remove(file.path().c_str());  // pages live until munmap
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_EQ(mapped.value().Score(u, 2), built.Score(u, 2));
+    EXPECT_EQ(mapped.value().ScoreOnly(u, 2), built.ScoreOnly(u, 2));
   }
 }
 
@@ -531,7 +531,7 @@ TEST(MmapConcurrencyTest, ParallelQueriesOnSharedMapping) {
   std::vector<double> expected(n * n);
   for (graph::NodeId u = 0; u < n; ++u) {
     for (graph::NodeId v = 0; v < n; ++v) {
-      expected[u * n + v] = built.Score(u, v);
+      expected[u * n + v] = built.ScoreOnly(u, v);
     }
   }
 
@@ -543,7 +543,7 @@ TEST(MmapConcurrencyTest, ParallelQueriesOnSharedMapping) {
     threads.emplace_back([&, t] {
       for (graph::NodeId u = t; u < n; u += kThreads) {
         for (graph::NodeId v = 0; v < n; ++v) {
-          if (index.Score(u, v) != expected[u * n + v] ||
+          if (index.ScoreOnly(u, v) != expected[u * n + v] ||
               index.ScoreOnly(u, v) != expected[u * n + v]) {
             ++mismatches[t];
           }

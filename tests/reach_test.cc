@@ -17,7 +17,6 @@
 #include "reach/distance_label_index.h"
 #include "reach/naive_reachability.h"
 #include "reach/pruned_online_search.h"
-#include "reach/reach_cache.h"
 #include "reach/reach_maintainer.h"
 #include "reach/transitive_closure.h"
 #include "reach/two_hop_index.h"
@@ -65,23 +64,23 @@ DirectedGraph RandomGraph(uint32_t n, double avg_degree, uint64_t seed) {
 TEST(NaiveReachabilityTest, DirectFolloweeScoresOne) {
   DirectedGraph g = Diamond();
   NaiveReachability naive(&g, 5);
-  EXPECT_DOUBLE_EQ(naive.Score(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(naive.Score(0, 2), 1.0);
-  EXPECT_DOUBLE_EQ(naive.Score(3, 4), 1.0);
+  EXPECT_DOUBLE_EQ(naive.ScoreOnly(0, 1), 1.0);
+  EXPECT_DOUBLE_EQ(naive.ScoreOnly(0, 2), 1.0);
+  EXPECT_DOUBLE_EQ(naive.ScoreOnly(3, 4), 1.0);
 }
 
 TEST(NaiveReachabilityTest, SelfScoresOne) {
   DirectedGraph g = Diamond();
   NaiveReachability naive(&g, 5);
-  EXPECT_DOUBLE_EQ(naive.Score(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(naive.Score(5, 5), 1.0);
+  EXPECT_DOUBLE_EQ(naive.ScoreOnly(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(naive.ScoreOnly(5, 5), 1.0);
 }
 
 TEST(NaiveReachabilityTest, UnreachableScoresZero) {
   DirectedGraph g = Diamond();
   NaiveReachability naive(&g, 5);
-  EXPECT_DOUBLE_EQ(naive.Score(4, 0), 0.0);
-  EXPECT_DOUBLE_EQ(naive.Score(5, 3), 0.0);
+  EXPECT_DOUBLE_EQ(naive.ScoreOnly(4, 0), 0.0);
+  EXPECT_DOUBLE_EQ(naive.ScoreOnly(5, 3), 0.0);
 }
 
 TEST(NaiveReachabilityTest, Eq4OnDiamond) {
@@ -94,16 +93,16 @@ TEST(NaiveReachabilityTest, Eq4OnDiamond) {
   ASSERT_EQ(q.followees.size(), 2u);
   EXPECT_EQ(q.followees[0], 1u);
   EXPECT_EQ(q.followees[1], 2u);
-  EXPECT_DOUBLE_EQ(naive.Score(0, 3), 0.5 * 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(naive.ScoreOnly(0, 3), 0.5 * 2.0 / 3.0);
   // 0 -> 4: distance 3, same two followees participate.
-  EXPECT_DOUBLE_EQ(naive.Score(0, 4), (1.0 / 3.0) * (2.0 / 3.0));
+  EXPECT_DOUBLE_EQ(naive.ScoreOnly(0, 4), (1.0 / 3.0) * (2.0 / 3.0));
 }
 
 TEST(NaiveReachabilityTest, HopBoundLimitsReach) {
   DirectedGraph g = Chain(10);
   NaiveReachability naive(&g, 3);
-  EXPECT_GT(naive.Score(0, 3), 0.0);
-  EXPECT_DOUBLE_EQ(naive.Score(0, 4), 0.0);  // distance 4 > H = 3
+  EXPECT_GT(naive.ScoreOnly(0, 3), 0.0);
+  EXPECT_DOUBLE_EQ(naive.ScoreOnly(0, 4), 0.0);  // distance 4 > H = 3
 }
 
 // --------------------------------------------------- transitive closure
@@ -112,11 +111,11 @@ TEST(TransitiveClosureTest, IncrementalMatchesDefinitionOnDiamond) {
   DirectedGraph g = Diamond();
   auto tc = TransitiveClosureIndex::Build(
       &g, 5, TransitiveClosureIndex::Construction::kIncremental);
-  EXPECT_DOUBLE_EQ(tc.Score(0, 1), 1.0);
-  EXPECT_FLOAT_EQ(tc.Score(0, 3), 0.5f * 2.0f / 3.0f);
-  EXPECT_FLOAT_EQ(tc.Score(0, 4), (1.0f / 3.0f) * (2.0f / 3.0f));
-  EXPECT_DOUBLE_EQ(tc.Score(4, 0), 0.0);
-  EXPECT_DOUBLE_EQ(tc.Score(2, 2), 1.0);
+  EXPECT_DOUBLE_EQ(tc.ScoreOnly(0, 1), 1.0);
+  EXPECT_FLOAT_EQ(tc.ScoreOnly(0, 3), 0.5f * 2.0f / 3.0f);
+  EXPECT_FLOAT_EQ(tc.ScoreOnly(0, 4), (1.0f / 3.0f) * (2.0f / 3.0f));
+  EXPECT_DOUBLE_EQ(tc.ScoreOnly(4, 0), 0.0);
+  EXPECT_DOUBLE_EQ(tc.ScoreOnly(2, 2), 1.0);
   EXPECT_EQ(tc.Distance(0, 3), 2u);
   EXPECT_EQ(tc.Distance(0, 4), 3u);
   EXPECT_EQ(tc.Distance(4, 0), kUnreachableDistance);
@@ -133,7 +132,7 @@ TEST(TransitiveClosureTest, NaiveConstructionAgreesWithIncremental) {
       for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
         EXPECT_EQ(naive_tc.Distance(u, v), inc_tc.Distance(u, v))
             << "seed " << seed << " pair " << u << "->" << v;
-        EXPECT_FLOAT_EQ(naive_tc.Score(u, v), inc_tc.Score(u, v))
+        EXPECT_FLOAT_EQ(naive_tc.ScoreOnly(u, v), inc_tc.ScoreOnly(u, v))
             << "seed " << seed << " pair " << u << "->" << v;
       }
     }
@@ -163,11 +162,11 @@ TEST(TransitiveClosureTest, IndexSizeAccounting) {
 TEST(TwoHopIndexTest, MatchesDefinitionOnDiamond) {
   DirectedGraph g = Diamond();
   auto index = TwoHopIndex::Build(&g, 5);
-  EXPECT_DOUBLE_EQ(index.Score(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(index.Score(0, 3), 0.5 * 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(index.Score(0, 4), (1.0 / 3.0) * (2.0 / 3.0));
-  EXPECT_DOUBLE_EQ(index.Score(4, 0), 0.0);
-  EXPECT_DOUBLE_EQ(index.Score(1, 1), 1.0);
+  EXPECT_DOUBLE_EQ(index.ScoreOnly(0, 1), 1.0);
+  EXPECT_DOUBLE_EQ(index.ScoreOnly(0, 3), 0.5 * 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(index.ScoreOnly(0, 4), (1.0 / 3.0) * (2.0 / 3.0));
+  EXPECT_DOUBLE_EQ(index.ScoreOnly(4, 0), 0.0);
+  EXPECT_DOUBLE_EQ(index.ScoreOnly(1, 1), 1.0);
 }
 
 TEST(TwoHopIndexTest, QueryReturnsSortedFollowees) {
@@ -183,8 +182,8 @@ TEST(TwoHopIndexTest, QueryReturnsSortedFollowees) {
 TEST(TwoHopIndexTest, HopBoundRespected) {
   DirectedGraph g = Chain(12);
   auto index = TwoHopIndex::Build(&g, 4);
-  EXPECT_GT(index.Score(0, 4), 0.0);
-  EXPECT_DOUBLE_EQ(index.Score(0, 5), 0.0);
+  EXPECT_GT(index.ScoreOnly(0, 4), 0.0);
+  EXPECT_DOUBLE_EQ(index.ScoreOnly(0, 5), 0.0);
   auto q = index.Query(0, 5);
   EXPECT_FALSE(q.reachable());
 }
@@ -248,8 +247,8 @@ TEST_P(BackendConsistencyTest, AllBackendsAgree) {
       ASSERT_EQ(nq.followees, hq.followees)
           << "2hop followees mismatch " << u << "->" << v << " seed "
           << p.seed;
-      ASSERT_NEAR(naive.Score(u, v), tc.Score(u, v), 1e-6);
-      ASSERT_NEAR(naive.Score(u, v), two_hop.Score(u, v), 1e-9);
+      ASSERT_NEAR(naive.ScoreOnly(u, v), tc.ScoreOnly(u, v), 1e-6);
+      ASSERT_NEAR(naive.ScoreOnly(u, v), two_hop.ScoreOnly(u, v), 1e-9);
     }
   }
 }
@@ -315,7 +314,7 @@ TEST(DistanceLabelIndexTest, SmallerThanFolloweeCarryingIndex) {
   for (int i = 0; i < 500; ++i) {
     auto u = static_cast<graph::NodeId>(rng.Uniform(200));
     auto v = static_cast<graph::NodeId>(rng.Uniform(200));
-    ASSERT_DOUBLE_EQ(full.Score(u, v), dist_only.Score(u, v));
+    ASSERT_DOUBLE_EQ(full.ScoreOnly(u, v), dist_only.ScoreOnly(u, v));
   }
 }
 
@@ -426,7 +425,7 @@ TEST(TransitiveClosureInsertTest, MatchesRebuildAfterInsertions) {
           ASSERT_EQ(dynamic_tc.Distance(u, v), rebuilt.Distance(u, v))
               << "trial " << trial << " after insert " << a << "->" << b
               << " pair " << u << "->" << v;
-          ASSERT_NEAR(dynamic_tc.Score(u, v), rebuilt.Score(u, v), 1e-6)
+          ASSERT_NEAR(dynamic_tc.ScoreOnly(u, v), rebuilt.ScoreOnly(u, v), 1e-6)
               << "trial " << trial << " after insert " << a << "->" << b
               << " pair " << u << "->" << v;
         }
@@ -453,13 +452,13 @@ TEST(TransitiveClosureInsertTest, NewEdgeCreatesReachability) {
   DirectedGraph g = std::move(b).Build();
   auto tc = TransitiveClosureIndex::Build(
       &g, 5, TransitiveClosureIndex::Construction::kIncremental);
-  EXPECT_DOUBLE_EQ(tc.Score(0, 3), 0.0);
+  EXPECT_DOUBLE_EQ(tc.ScoreOnly(0, 3), 0.0);
   ASSERT_TRUE(tc.InsertEdge(2, 3));
   EXPECT_EQ(tc.Distance(2, 3), 1u);
-  EXPECT_DOUBLE_EQ(tc.Score(2, 3), 1.0);
+  EXPECT_DOUBLE_EQ(tc.ScoreOnly(2, 3), 1.0);
   EXPECT_EQ(tc.Distance(0, 3), 3u);
   // 0's single followee 1 lies on the shortest path: R = 1/3 * 1/1.
-  EXPECT_NEAR(tc.Score(0, 3), 1.0 / 3.0, 1e-6);
+  EXPECT_NEAR(tc.ScoreOnly(0, 3), 1.0 / 3.0, 1e-6);
   // Node 2 had no followees in the base graph; the overlay adds one.
   EXPECT_EQ(tc.CurrentOutDegree(2), 1u);
 }
@@ -478,7 +477,7 @@ TEST(TransitiveClosureInsertTest, InsertShortensExistingDistance) {
   ASSERT_TRUE(tc.InsertEdge(0, 3));
   EXPECT_EQ(tc.Distance(0, 4), 2u);
   // F_04 = {3} of followees {1, 3}: R = 1/2 * 1/2.
-  EXPECT_NEAR(tc.Score(0, 4), 0.25, 1e-6);
+  EXPECT_NEAR(tc.ScoreOnly(0, 4), 0.25, 1e-6);
   auto q = tc.Query(0, 4);
   ASSERT_EQ(q.followees.size(), 1u);
   EXPECT_EQ(q.followees[0], 3u);
@@ -621,7 +620,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Count-only fast path: CountQuery must report exactly (distance,
 // |F_uv|) of the materializing Query, and ScoreOnly must be bitwise
-// equal to Score, on every backend (both funnel through
+// equal to the Eq.-4 score of that Query, on every backend but the
+// float-scored transitive closure (both funnel through
 // WeightedScoreFromCount, so any divergence is a counting bug); the
 // one-to-many ScoreOnlyMany must match per-pair ScoreOnly.
 TEST_P(GraphFamilyTest, CountQueryAndScoreOnlyMatchQueryEverywhere) {
@@ -633,7 +633,6 @@ TEST_P(GraphFamilyTest, CountQueryAndScoreOnlyMatchQueryEverywhere) {
   auto two_hop = TwoHopIndex::Build(&g, 6);
   auto dist_only = DistanceLabelIndex::Build(&g, 6);
   auto pruned = PrunedOnlineSearch::Build(&g, 6, 2, 3);
-  CachedReachability cached(&naive, &g);
   const auto vs = AllNodesTwice(g.num_nodes());
 
   for (const reach::WeightedReachability* backend :
@@ -641,8 +640,8 @@ TEST_P(GraphFamilyTest, CountQueryAndScoreOnlyMatchQueryEverywhere) {
         static_cast<const reach::WeightedReachability*>(&tc),
         static_cast<const reach::WeightedReachability*>(&two_hop),
         static_cast<const reach::WeightedReachability*>(&dist_only),
-        static_cast<const reach::WeightedReachability*>(&pruned),
-        static_cast<const reach::WeightedReachability*>(&cached)}) {
+        static_cast<const reach::WeightedReachability*>(&pruned)}) {
+    const double tol = backend == &tc ? 1e-6 : 0.0;
     for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
       for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
         auto full = backend->Query(u, v);
@@ -653,7 +652,8 @@ TEST_P(GraphFamilyTest, CountQueryAndScoreOnlyMatchQueryEverywhere) {
         ASSERT_EQ(full.followees.size(), count.followee_count)
             << FamilyName(family) << " " << backend->Name() << " " << u
             << "->" << v;
-        ASSERT_EQ(backend->Score(u, v), backend->ScoreOnly(u, v))
+        ASSERT_NEAR(WeightedScore(full, g.OutDegree(u), u == v),
+                    backend->ScoreOnly(u, v), tol)
             << FamilyName(family) << " " << backend->Name() << " " << u
             << "->" << v;
       }
@@ -674,7 +674,8 @@ TEST(TwoHopIndexTest, CountQueryMatchesQueryOnRandomGraphs) {
             << "seed " << seed << " " << u << "->" << v;
         ASSERT_EQ(full.followees.size(), count.followee_count)
             << "seed " << seed << " " << u << "->" << v;
-        ASSERT_EQ(index.Score(u, v), index.ScoreOnly(u, v))
+        ASSERT_EQ(WeightedScore(full, g.OutDegree(u), u == v),
+                  index.ScoreOnly(u, v))
             << "seed " << seed << " " << u << "->" << v;
       }
     }
@@ -735,7 +736,6 @@ TEST(TwoHopIndexTest, EmptyLabelGraph) {
   EXPECT_EQ(index.NumFolloweeIds(), 0u);
   for (graph::NodeId u = 0; u < 5; ++u) {
     for (graph::NodeId v = 0; v < 5; ++v) {
-      EXPECT_EQ(index.Score(u, v), u == v ? 1.0 : 0.0);
       EXPECT_EQ(index.ScoreOnly(u, v), u == v ? 1.0 : 0.0);
       auto count = index.CountQuery(u, v);
       if (u != v) {
@@ -751,7 +751,7 @@ TEST(WeightedScoreTest, RangeProperty) {
   NaiveReachability naive(&g, 5);
   for (graph::NodeId u = 0; u < g.num_nodes(); u += 3) {
     for (graph::NodeId v = 0; v < g.num_nodes(); v += 2) {
-      double s = naive.Score(u, v);
+      double s = naive.ScoreOnly(u, v);
       EXPECT_GE(s, 0.0);
       EXPECT_LE(s, 1.0);
     }
@@ -791,7 +791,7 @@ TEST(ParallelBuildTest, TcIncrementalMatchesSerialOnRandomGraphs) {
       for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
         ASSERT_EQ(a.Distance(u, v), b.Distance(u, v))
             << "seed " << seed << " pair " << u << "->" << v;
-        ASSERT_EQ(a.Score(u, v), b.Score(u, v))
+        ASSERT_EQ(a.ScoreOnly(u, v), b.ScoreOnly(u, v))
             << "seed " << seed << " pair " << u << "->" << v;
       }
     }
@@ -817,7 +817,7 @@ TEST(ParallelBuildTest, TcNaiveMatchesSerial) {
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       ASSERT_EQ(a.Distance(u, v), b.Distance(u, v));
-      ASSERT_EQ(a.Score(u, v), b.Score(u, v));
+      ASSERT_EQ(a.ScoreOnly(u, v), b.ScoreOnly(u, v));
     }
   }
 }
@@ -833,7 +833,7 @@ TEST(ParallelBuildTest, TwoHopMatchesSerialOnRandomGraphs) {
     EXPECT_EQ(a.IndexSizeBytes(), b.IndexSizeBytes());
     for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
       for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-        ASSERT_EQ(a.Score(u, v), b.Score(u, v))
+        ASSERT_EQ(a.ScoreOnly(u, v), b.ScoreOnly(u, v))
             << "seed " << seed << " pair " << u << "->" << v;
       }
     }
@@ -855,12 +855,12 @@ TEST(ParallelBuildTest, NaiveReachabilityConcurrentQueriesAreSafe) {
   NaiveReachability naive(&g, 5);
   std::vector<double> expected(g.num_nodes());
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    expected[v] = naive.Score(0, v);
+    expected[v] = naive.ScoreOnly(0, v);
   }
   util::ThreadPool pool(4);
   std::atomic<int> mismatches{0};
   pool.ParallelFor(0, g.num_nodes(), 1, [&](size_t v) {
-    if (naive.Score(0, static_cast<graph::NodeId>(v)) != expected[v]) {
+    if (naive.ScoreOnly(0, static_cast<graph::NodeId>(v)) != expected[v]) {
       mismatches.fetch_add(1);
     }
   });
@@ -877,7 +877,7 @@ TEST(ParallelBuildTest, TwoHopConcurrentScoreOnlyReadersAgree) {
   std::vector<double> expected(g.num_nodes());
   std::vector<graph::NodeId> all(g.num_nodes());
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    expected[v] = index.Score(7, v);
+    expected[v] = index.ScoreOnly(7, v);
     all[v] = v;
   }
   util::ThreadPool pool(4);
@@ -972,150 +972,6 @@ TEST(ScoreOnlyManyTest, AlternatingIndexesOfDifferentSizesOnOneThread) {
     ASSERT_EQ(large.Query(u, (u + 7) % 90).followees,
               large_naive.Query(u, (u + 7) % 90).followees);
   }
-}
-
-// --------------------------------------------------- CachedReachability
-
-TEST(CachedReachabilityTest, MatchesBaseBackend) {
-  DirectedGraph g = RandomGraph(50, 3.0, 31);
-  NaiveReachability base(&g, 5);
-  CachedReachability cached(&base, &g);
-  for (graph::NodeId u = 0; u < g.num_nodes(); u += 2) {
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(cached.Score(u, v), base.Score(u, v));
-      auto a = cached.Query(u, v);
-      auto b = base.Query(u, v);
-      ASSERT_EQ(a.distance, b.distance);
-      ASSERT_EQ(a.followees, b.followees);
-    }
-  }
-  EXPECT_STREQ(cached.Name(), "cached+naive-bfs");
-}
-
-TEST(CachedReachabilityTest, CountsHitsAndMisses) {
-  DirectedGraph g = Diamond();
-  NaiveReachability base(&g, 5);
-  CachedReachability cached(&base, &g);
-  auto& reg = metrics::Registry();
-  uint64_t hits0 = reg.GetCounter("reach.cache.hits_total")->Value();
-  uint64_t misses0 = reg.GetCounter("reach.cache.misses_total")->Value();
-  EXPECT_EQ(cached.ApproxEntries(), 0u);
-  cached.Query(0, 4);  // miss
-  EXPECT_EQ(cached.ApproxEntries(), 1u);
-  cached.Query(0, 4);  // hit
-  cached.Query(0, 4);  // hit
-  cached.Query(0, 3);  // miss
-  EXPECT_EQ(cached.ApproxEntries(), 2u);
-  EXPECT_EQ(reg.GetCounter("reach.cache.hits_total")->Value() - hits0, 2u);
-  EXPECT_EQ(reg.GetCounter("reach.cache.misses_total")->Value() - misses0,
-            2u);
-}
-
-TEST(CachedReachabilityTest, EvictsWhenShardIsFull) {
-  DirectedGraph g = Chain(10);
-  NaiveReachability base(&g, 5);
-  CachedReachability::Options options;
-  options.num_shards = 1;
-  options.max_entries_per_shard = 4;
-  CachedReachability cached(&base, &g, options);
-  for (graph::NodeId v = 0; v < 10; ++v) cached.Query(0, v);
-  // Every insert beyond capacity clears the single shard first, so the
-  // entry count never exceeds the bound and the answers stay correct.
-  EXPECT_LE(cached.ApproxEntries(), 4u);
-  for (graph::NodeId v = 0; v < 10; ++v) {
-    EXPECT_EQ(cached.Score(0, v), base.Score(0, v));
-  }
-}
-
-TEST(CachedReachabilityTest, InvalidateEmptiesTheCache) {
-  DirectedGraph g = Diamond();
-  NaiveReachability base(&g, 5);
-  CachedReachability cached(&base, &g);
-  cached.Query(0, 3);
-  cached.Query(1, 3);
-  EXPECT_EQ(cached.ApproxEntries(), 2u);
-  cached.Invalidate();
-  EXPECT_EQ(cached.ApproxEntries(), 0u);
-  EXPECT_EQ(cached.Score(0, 3), base.Score(0, 3));
-}
-
-TEST(CachedReachabilityTest, CountQueryUsesCacheAndMatchesBase) {
-  DirectedGraph g = RandomGraph(40, 3.0, 51);
-  NaiveReachability base(&g, 5);
-  CachedReachability cached(&base, &g);
-  auto& reg = metrics::Registry();
-  uint64_t hits0 = reg.GetCounter("reach.cache.hits_total")->Value();
-  for (graph::NodeId u = 0; u < g.num_nodes(); u += 4) {
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      auto a = cached.CountQuery(u, v);  // miss (or derived from full)
-      auto b = base.CountQuery(u, v);
-      ASSERT_EQ(a.distance, b.distance) << u << "->" << v;
-      ASSERT_EQ(a.followee_count, b.followee_count) << u << "->" << v;
-      ASSERT_EQ(cached.ScoreOnly(u, v), base.ScoreOnly(u, v))
-          << u << "->" << v;  // hit on the count cache
-    }
-  }
-  EXPECT_GT(reg.GetCounter("reach.cache.hits_total")->Value(), hits0);
-}
-
-// A full Query result already carries (distance, |F_uv|); a later
-// CountQuery for the same pair must be served from it, not from a second
-// base computation.
-TEST(CachedReachabilityTest, CountQueryDerivesFromFullEntry) {
-  DirectedGraph g = Diamond();
-  NaiveReachability base(&g, 5);
-  CachedReachability cached(&base, &g);
-  auto& reg = metrics::Registry();
-  cached.Query(0, 4);  // miss, populates the full cache
-  uint64_t misses0 = reg.GetCounter("reach.cache.misses_total")->Value();
-  auto count = cached.CountQuery(0, 4);
-  EXPECT_EQ(count.distance, 3u);
-  EXPECT_EQ(count.followee_count, 2u);
-  EXPECT_EQ(reg.GetCounter("reach.cache.misses_total")->Value(), misses0);
-}
-
-TEST(CachedReachabilityTest, BytesGaugeTracksLivePayload) {
-  DirectedGraph g = RandomGraph(40, 3.0, 61);
-  NaiveReachability base(&g, 5);
-  auto* gauge = metrics::Registry().GetGauge("reach.cache.bytes");
-  const int64_t before = gauge->Value();
-  {
-    CachedReachability cached(&base, &g);
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      cached.Query(0, v);
-      cached.CountQuery(1, v);
-    }
-    EXPECT_GT(cached.ApproxPayloadBytes(), 0u);
-    EXPECT_EQ(gauge->Value() - before,
-              static_cast<int64_t>(cached.ApproxPayloadBytes()));
-    EXPECT_LE(cached.ApproxPayloadBytes(), cached.IndexSizeBytes());
-    cached.Invalidate();
-    EXPECT_EQ(cached.ApproxPayloadBytes(), 0u);
-    EXPECT_EQ(gauge->Value(), before);
-    cached.Query(2, 3);  // repopulate, then let the destructor release it
-    EXPECT_GT(gauge->Value(), before);
-  }
-  EXPECT_EQ(gauge->Value(), before);
-}
-
-TEST(CachedReachabilityTest, ConcurrentQueriesAgree) {
-  DirectedGraph g = RandomGraph(40, 3.0, 41);
-  NaiveReachability base(&g, 5);
-  CachedReachability cached(&base, &g);
-  std::vector<double> expected(g.num_nodes());
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    expected[v] = base.Score(3, v);
-  }
-  util::ThreadPool pool(4);
-  std::atomic<int> mismatches{0};
-  // Each target queried from several threads: some threads hit, some
-  // race on the miss path; all must see the same score.
-  pool.ParallelFor(0, g.num_nodes() * 8u, 1, [&](size_t i) {
-    auto v = static_cast<graph::NodeId>(i % g.num_nodes());
-    if (cached.Score(3, v) != expected[v]) mismatches.fetch_add(1);
-  });
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(cached.ApproxEntries(), static_cast<size_t>(g.num_nodes()));
 }
 
 }  // namespace

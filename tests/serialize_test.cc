@@ -118,7 +118,7 @@ TEST(IndexSerializationTest, TransitiveClosureRoundTrip) {
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       ASSERT_EQ(original.Distance(u, v), loaded.value().Distance(u, v));
-      ASSERT_FLOAT_EQ(original.Score(u, v), loaded.value().Score(u, v));
+      ASSERT_FLOAT_EQ(original.ScoreOnly(u, v), loaded.value().ScoreOnly(u, v));
     }
   }
   // Overlay survives: inserting the same edge again is rejected.
@@ -186,7 +186,7 @@ TEST(IndexSerializationTest, TwoHopEmptyLabelRoundTrip) {
   EXPECT_EQ(loaded.value().NumOutEntries(), 0u);
   for (graph::NodeId u = 0; u < 7; ++u) {
     for (graph::NodeId v = 0; v < 7; ++v) {
-      EXPECT_EQ(loaded.value().Score(u, v), u == v ? 1.0 : 0.0);
+      EXPECT_EQ(loaded.value().ScoreOnly(u, v), u == v ? 1.0 : 0.0);
     }
   }
   ASSERT_TRUE(loaded.value().Save(resave.path()).ok());
@@ -280,7 +280,7 @@ TEST(IndexSerializationTest, DistanceLabelRoundTrip) {
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       ASSERT_EQ(original.Distance(u, v), loaded.value().Distance(u, v));
-      ASSERT_EQ(original.Score(u, v), loaded.value().Score(u, v));
+      ASSERT_EQ(original.ScoreOnly(u, v), loaded.value().ScoreOnly(u, v));
       ASSERT_EQ(original.ScoreOnly(u, v), loaded.value().ScoreOnly(u, v));
     }
   }

@@ -1,11 +1,11 @@
 // Property and adversarial tests for the vectorized kernel layer
-// (util/simd). Every kernel variant the build supports — scalar, SSE4.2,
+// (util/simd). Every kernel variant the build supports — scalar and
 // AVX2 — is checked for bit-identity against independently computed
 // ground truth (std::set_intersection and straight-line reference loops),
 // over randomized inputs and the adversarial shapes that historically
 // break block-compare intersections: duplicates inside and across vector
 // windows, all-equal lists, fully disjoint ranges, and sizes straddling
-// both the kGallopRatio dispatch split and the 8/4-lane vector widths.
+// both the kGallopRatio dispatch split and the 8-lane vector width.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,6 @@ using util::simd::ResolveLevel;
 
 std::vector<Level> SupportedLevels() {
   std::vector<Level> levels = {Level::kScalar};
-  if (LevelSupported(Level::kSse4)) levels.push_back(Level::kSse4);
   if (LevelSupported(Level::kAvx2)) levels.push_back(Level::kAvx2);
   return levels;
 }
@@ -59,34 +58,31 @@ std::vector<uint32_t> RandomSorted(Rng& rng, size_t n,
 
 TEST(SimdDispatchTest, ResolveLevelHonorsOverridesAndClamps) {
   CpuFeatures none;
-  CpuFeatures sse;
-  sse.sse4_2 = true;
-  CpuFeatures all;
-  all.sse4_2 = true;
-  all.avx2 = true;
+  CpuFeatures avx2;
+  avx2.avx2 = true;
+  // What auto-detection picks on an AVX2 host: AVX2 when this build
+  // compiled the tier, scalar otherwise.
+  const Level best =
+      LevelSupported(Level::kAvx2) ? Level::kAvx2 : Level::kScalar;
 
   // No override: best the host+build supports.
   EXPECT_EQ(ResolveLevel(nullptr, none), Level::kScalar);
   EXPECT_EQ(ResolveLevel("", none), Level::kScalar);
+  EXPECT_EQ(ResolveLevel(nullptr, avx2), best);
 
   // Explicit scalar always honored.
-  EXPECT_EQ(ResolveLevel("scalar", all), Level::kScalar);
+  EXPECT_EQ(ResolveLevel("scalar", avx2), Level::kScalar);
 
   // Requests above capability clamp down, never trap.
   EXPECT_EQ(ResolveLevel("avx2", none), Level::kScalar);
-  EXPECT_EQ(ResolveLevel("avx2", sse),
-            LevelSupported(Level::kSse4) ? Level::kSse4 : Level::kScalar);
 
-  // Unknown strings fall back to auto-detection.
+  // Unknown strings fall back to auto-detection; "sse4" names no tier.
   EXPECT_EQ(ResolveLevel("turbo", none), Level::kScalar);
+  EXPECT_EQ(ResolveLevel("sse4", none), Level::kScalar);
+  EXPECT_EQ(ResolveLevel("sse4", avx2), best);
 
   // Within capability (and when the tier is built), the request sticks.
-  if (LevelSupported(Level::kSse4)) {
-    EXPECT_EQ(ResolveLevel("sse4", all), Level::kSse4);
-  }
-  if (LevelSupported(Level::kAvx2)) {
-    EXPECT_EQ(ResolveLevel("avx2", all), Level::kAvx2);
-  }
+  EXPECT_EQ(ResolveLevel("avx2", avx2), best);
 }
 
 TEST(SimdDispatchTest, ScalarAlwaysSupported) {
@@ -100,7 +96,6 @@ TEST(SimdDispatchTest, ScalarAlwaysSupported) {
 
 TEST(SimdDispatchTest, LevelNamesRoundTrip) {
   EXPECT_STREQ(util::simd::LevelName(Level::kScalar), "scalar");
-  EXPECT_STREQ(util::simd::LevelName(Level::kSse4), "sse4");
   EXPECT_STREQ(util::simd::LevelName(Level::kAvx2), "avx2");
 }
 
@@ -152,8 +147,7 @@ TEST(SimdIntersectTest, AdversarialShapes) {
   CheckIntersectAllVariants(evens, evens);     // identical lists
 
   // Duplicates positioned to span vector-window boundaries: a run of
-  // nine 100s starting at index 7 crosses both the 8-lane AVX2 window
-  // and the 4-lane SSE4 window edges.
+  // nine 100s starting at index 7 crosses the 8-lane AVX2 window edge.
   std::vector<uint32_t> cross(7, 1);
   cross.insert(cross.end(), 9, 100);
   cross.insert(cross.end(), {200, 201, 202, 203, 204, 205, 206, 207});
@@ -173,7 +167,7 @@ TEST(SimdIntersectTest, AdversarialShapes) {
 
 TEST(SimdIntersectTest, SizesStraddlingDispatchAndLaneBoundaries) {
   Rng rng(DeriveSeed(0xC0FFEE, 1));
-  // Sizes around the vector widths (4, 8) and around the ratio split:
+  // Sizes around the vector width (8) and around the ratio split:
   // |b| = |a| * kGallopRatio ± 1 flips SortedIntersectCount between the
   // merge and gallop kernels.
   const size_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33};
