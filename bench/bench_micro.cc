@@ -170,6 +170,23 @@ void BM_InfluenceTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_InfluenceTopK)->Arg(1)->Arg(5)->Arg(20);
 
+// The same surfaces ranked in one TopInfluentialAll call per candidate set
+// (every candidate's list, where BM_InfluenceTopK ranks the first only).
+void BM_InfluenceTopKAll(benchmark::State& state) {
+  auto& harness = SharedHarness();
+  social::InfluenceEstimator influence(&harness.ckb(),
+                                       social::InfluenceMethod::kEntropy);
+  const auto& kb_world = harness.world().kb_world;
+  Rng rng(4);
+  for (auto _ : state) {
+    size_t sid = rng.Uniform(kb_world.surface_entities.size());
+    const auto& candidates = kb_world.surface_entities[sid];
+    benchmark::DoNotOptimize(influence.TopInfluentialAll(
+        candidates, static_cast<uint32_t>(state.range(0))));
+  }
+}
+BENCHMARK(BM_InfluenceTopKAll)->Arg(1)->Arg(5)->Arg(20);
+
 void BM_LinkMention(benchmark::State& state) {
   auto& harness = SharedHarness();
   auto linker = harness.MakeLinker(harness.DefaultLinkerOptions());

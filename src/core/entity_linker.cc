@@ -125,20 +125,22 @@ MentionLinkResult EntityLinker::LinkMention(std::string_view mention,
   {
     // Prefer the offline influential-user index when the mention resolved
     // through an exact surface (the fuzzy path merges several surfaces
-    // and has no single cached entry).
+    // and has no single cached entry); otherwise rank every candidate's
+    // community in one TopInfluentialAll call.
     const uint32_t surface_id =
         options_.use_influential_index ? kb_->SurfaceId(mention)
                                        : kb::Knowledgebase::kInvalidSurface;
+    const bool indexed = surface_id != kb::Knowledgebase::kInvalidSurface;
+    std::vector<std::vector<social::InfluentialUser>> online;
+    if (!indexed) {
+      online = influence_.TopInfluentialAll(entities,
+                                            options_.top_k_influential);
+    }
     double total = 0;
     for (size_t i = 0; i < entities.size(); ++i) {
-      if (surface_id != kb::Knowledgebase::kInvalidSurface) {
-        interest[i] = interest_.InterestOver(
-            user, influential_index_.Get(surface_id, entities[i]));
-      } else {
-        auto influential = influence_.TopInfluential(
-            entities[i], entities, options_.top_k_influential);
-        interest[i] = interest_.InterestOver(user, influential);
-      }
+      interest[i] = interest_.InterestOver(
+          user, indexed ? influential_index_.Get(surface_id, entities[i])
+                        : online[i]);
       total += interest[i];
     }
     if (total > 0) {

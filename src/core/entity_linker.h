@@ -143,7 +143,10 @@ class EntityLinker {
   /// Materializes all lazily computed shared state (influential-user
   /// cache, posting-list sort order). After WarmUp — and until the next
   /// ConfirmLink — LinkMention and LinkTweet are safe to call from
-  /// multiple threads concurrently (see LinkTweetsParallel).
+  /// multiple threads concurrently (see LinkTweetsParallel). Only state
+  /// dirtied since the previous WarmUp is touched — the surfaces of the
+  /// confirmed entities and their posting lists — so a barrier's warm-up
+  /// costs what its writes touched, not the size of the knowledgebase.
   void WarmUp();
 
   const LinkerOptions& options() const { return options_; }

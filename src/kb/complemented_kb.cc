@@ -17,8 +17,14 @@ void ComplementedKnowledgebase::AddLink(EntityId entity,
                                         const Posting& posting) {
   MEL_CHECK(entity < per_entity_.size());
   EntityPostings& ep = per_entity_[entity];
-  if (!ep.postings.empty() && posting.time < ep.postings.back().time) {
+  if (!ep.dirty && !ep.postings.empty() &&
+      posting.time < ep.postings.back().time) {
     ep.dirty = true;
+    ep.sorted_prefix = ep.postings.size();
+    if (!ep.queued) {
+      ep.queued = true;
+      dirty_.push_back(entity);
+    }
   }
   ep.postings.push_back(posting);
   auto [it, inserted] = ep.user_index.try_emplace(
@@ -35,16 +41,25 @@ void ComplementedKnowledgebase::AddLink(EntityId entity,
 void ComplementedKnowledgebase::EnsureSorted(EntityId e) const {
   EntityPostings& ep = per_entity_[e];
   if (ep.dirty) {
-    std::stable_sort(ep.postings.begin(), ep.postings.end(),
-                     [](const Posting& a, const Posting& b) {
-                       return a.time < b.time;
-                     });
+    // Stable-sorting the appended tail and merging it behind the sorted
+    // prefix (a stable merge) orders ties as a whole-list stable_sort
+    // would: by insertion.
+    auto by_time = [](const Posting& a, const Posting& b) {
+      return a.time < b.time;
+    };
+    const auto mid = ep.postings.begin() + ep.sorted_prefix;
+    std::stable_sort(mid, ep.postings.end(), by_time);
+    std::inplace_merge(ep.postings.begin(), mid, ep.postings.end(), by_time);
     ep.dirty = false;
   }
 }
 
 void ComplementedKnowledgebase::EnsureAllSorted() const {
-  for (EntityId e = 0; e < per_entity_.size(); ++e) EnsureSorted(e);
+  for (EntityId e : dirty_) {
+    per_entity_[e].queued = false;
+    EnsureSorted(e);
+  }
+  dirty_.clear();
 }
 
 uint32_t ComplementedKnowledgebase::LinkedTweetCount(EntityId e) const {

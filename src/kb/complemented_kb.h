@@ -60,7 +60,8 @@ class ComplementedKnowledgebase {
   /// Sorts every dirty posting list now. Time-range queries normally
   /// re-sort lazily, which mutates shared state; calling this once makes
   /// all subsequent read accessors safe for concurrent use (as long as no
-  /// AddLink runs in parallel).
+  /// AddLink runs in parallel). Walks only the entities whose lists went
+  /// dirty since the previous call.
   void EnsureAllSorted() const;
 
   /// Persists all posting lists to disk.
@@ -73,16 +74,22 @@ class ComplementedKnowledgebase {
 
  private:
   struct EntityPostings {
-    std::vector<Posting> postings;  // sorted by time when !dirty
+    // Sorted by time when !dirty; when dirty, the first sorted_prefix
+    // postings are sorted and the rest were appended after them.
+    std::vector<Posting> postings;
     std::vector<std::pair<UserId, uint32_t>> community;
     std::unordered_map<UserId, uint32_t> user_index;  // user -> community idx
+    size_t sorted_prefix = 0;
     bool dirty = false;
+    bool queued = false;  // listed in dirty_
   };
 
   void EnsureSorted(EntityId e) const;
 
   const Knowledgebase* kb_;
   mutable std::vector<EntityPostings> per_entity_;
+  // Entities that went dirty since the last EnsureAllSorted, each once.
+  mutable std::vector<EntityId> dirty_;
   uint64_t total_links_ = 0;
   uint64_t version_ = 0;
 };

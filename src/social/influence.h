@@ -52,6 +52,15 @@ class InfluenceEstimator {
       kb::EntityId entity, std::span<const kb::EntityId> candidates,
       uint32_t top_k) const;
 
+  /// TopInfluential(candidates[i], candidates, top_k) for every i, in
+  /// candidate order, bit-identical to the per-entity calls. Each
+  /// candidate's community is scattered once into a per-thread dense
+  /// user table, so each distinct user's discriminativeness is computed
+  /// once from her counts instead of by |E_m| lookups per (candidate,
+  /// user) pair. Safe to call from several threads at once.
+  std::vector<std::vector<InfluentialUser>> TopInfluentialAll(
+      std::span<const kb::EntityId> candidates, uint32_t top_k) const;
+
   InfluenceMethod method() const { return method_; }
 
  private:

@@ -34,8 +34,12 @@ InfluentialUserIndex::InfluentialUserIndex(
     : ckb_(ckb), estimator_(ckb, method), top_k_(top_k) {
   MEL_CHECK(ckb != nullptr);
   const kb::Knowledgebase& kbase = ckb->base();
-  cache_.resize(kbase.surfaces().size());
-  for (uint32_t sid = 0; sid < kbase.surfaces().size(); ++sid) {
+  const auto num_surfaces = static_cast<uint32_t>(kbase.surfaces().size());
+  cache_.resize(num_surfaces);
+  pending_.reserve(num_surfaces);
+  entity_surfaces_.resize(kbase.num_entities());
+  for (uint32_t sid = 0; sid < num_surfaces; ++sid) {
+    pending_.push_back(sid);
     for (const kb::Candidate& c : kbase.CandidatesBySurfaceId(sid)) {
       entity_surfaces_[c.entity].push_back(sid);
     }
@@ -43,34 +47,31 @@ InfluentialUserIndex::InfluentialUserIndex(
 }
 
 void InfluentialUserIndex::FillSurface(uint32_t surface_id) {
+  GetIndexMetrics().misses->Increment();
   SurfaceCache& entry = cache_[surface_id];
   auto candidates = ckb_->base().CandidatesBySurfaceId(surface_id);
   std::vector<kb::EntityId> entities;
   entities.reserve(candidates.size());
   for (const kb::Candidate& c : candidates) entities.push_back(c.entity);
-  entry.per_candidate.assign(candidates.size(), {});
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    entry.per_candidate[i] =
-        estimator_.TopInfluential(entities[i], entities, top_k_);
-  }
+  entry.per_candidate = estimator_.TopInfluentialAll(entities, top_k_);
   entry.valid = true;
 }
 
 void InfluentialUserIndex::PrecomputeAll() {
-  for (uint32_t sid = 0; sid < cache_.size(); ++sid) {
+  for (uint32_t sid : pending_) {
+    cache_[sid].pending = false;
     if (!cache_[sid].valid) FillSurface(sid);
   }
+  pending_.clear();
 }
 
 const std::vector<InfluentialUser>& InfluentialUserIndex::Get(
     uint32_t surface_id, kb::EntityId entity) {
   MEL_CHECK(surface_id < cache_.size());
-  const IndexMetrics& im = GetIndexMetrics();
   if (!cache_[surface_id].valid) {
-    im.misses->Increment();
     FillSurface(surface_id);
   } else {
-    im.hits->Increment();
+    GetIndexMetrics().hits->Increment();
   }
   auto candidates = ckb_->base().CandidatesBySurfaceId(surface_id);
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -84,12 +85,18 @@ const std::vector<InfluentialUser>& InfluentialUserIndex::Get(
 }
 
 void InfluentialUserIndex::Invalidate(kb::EntityId entity) {
-  auto it = entity_surfaces_.find(entity);
-  if (it == entity_surfaces_.end()) return;
+  if (entity >= entity_surfaces_.size()) return;
+  const std::vector<uint32_t>& surfaces = entity_surfaces_[entity];
+  if (surfaces.empty()) return;
   GetIndexMetrics().invalidations->Increment();
-  for (uint32_t sid : it->second) {
-    cache_[sid].valid = false;
-    cache_[sid].per_candidate.clear();
+  for (uint32_t sid : surfaces) {
+    SurfaceCache& entry = cache_[sid];
+    entry.valid = false;
+    entry.per_candidate.clear();
+    if (!entry.pending) {
+      entry.pending = true;
+      pending_.push_back(sid);
+    }
   }
 }
 

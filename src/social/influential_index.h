@@ -2,7 +2,6 @@
 #define MEL_SOCIAL_INFLUENTIAL_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "kb/complemented_kb.h"
@@ -33,8 +32,10 @@ class InfluentialUserIndex {
   InfluentialUserIndex(const kb::ComplementedKnowledgebase* ckb,
                        InfluenceMethod method, uint32_t top_k);
 
-  /// Pre-computes entries for every surface form of the knowledgebase
-  /// (the offline pass). Optional: lookups fill the cache lazily.
+  /// Fills every surface that has no valid entry: the first call is the
+  /// offline pass over all surface forms, later calls refill only the
+  /// surfaces invalidated since the previous call (a walk of the pending
+  /// list, not of the whole cache). Optional: lookups fill lazily.
   void PrecomputeAll();
 
   /// The top influential users of `entity` in the context of the
@@ -51,6 +52,7 @@ class InfluentialUserIndex {
  private:
   struct SurfaceCache {
     bool valid = false;
+    bool pending = true;  // listed in pending_
     // Aligned with the surface's candidate list.
     std::vector<std::vector<InfluentialUser>> per_candidate;
   };
@@ -61,8 +63,11 @@ class InfluentialUserIndex {
   InfluenceEstimator estimator_;
   uint32_t top_k_;
   std::vector<SurfaceCache> cache_;
-  // entity -> surfaces it participates in (built once at construction).
-  std::unordered_map<kb::EntityId, std::vector<uint32_t>> entity_surfaces_;
+  // Surfaces not valid as of the last PrecomputeAll, each listed once.
+  std::vector<uint32_t> pending_;
+  // entity id -> surfaces it participates in (built once at
+  // construction).
+  std::vector<std::vector<uint32_t>> entity_surfaces_;
 };
 
 }  // namespace mel::social

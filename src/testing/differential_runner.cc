@@ -503,34 +503,52 @@ void CheckInfluence(const RandomWorkload& w, const DiffOptions& opts,
       }
     }
 
-    const auto prod = estimator.TopInfluential(entity, context,
-                                               w.linker.top_k_influential);
-    const auto want = OracleTopInfluential(ckb, entity, context,
-                                           w.linker.top_k_influential,
-                                           w.linker.influence_method);
-    rec.Check(prod.size() == want.size(),
-              "influence-size-mismatch entity=" + std::to_string(entity) +
-                  " got " + std::to_string(prod.size()) + " oracle " +
-                  std::to_string(want.size()));
-    if (prod.size() != want.size()) continue;
-    for (size_t j = 0; j < prod.size(); ++j) {
-      // The production pipeline multiplies count * (1/total) where the
-      // oracle divides; near-equal users may swap positions, so accept a
-      // user mismatch when the two influence values are within tolerance.
-      const bool same_user = prod[j].user == want[j].user;
-      const bool near_tie =
-          Near(prod[j].influence, want[j].influence, kOracleTol);
-      if (!(same_user ? near_tie : near_tie)) {
-        rec.Check(false,
-                  "influence-rank-mismatch entity=" +
-                      std::to_string(entity) + " pos=" + std::to_string(j) +
-                      " got user=" + std::to_string(prod[j].user) + " inf=" +
-                      std::to_string(prod[j].influence) + " oracle user=" +
-                      std::to_string(want[j].user) + " inf=" +
-                      std::to_string(want[j].influence));
-        break;
+    // One TopInfluentialAll call ranks every context entity: each row must
+    // be bit-identical to the per-entity TopInfluential call, and match
+    // the oracle up to near ties.
+    const auto rows =
+        estimator.TopInfluentialAll(context, w.linker.top_k_influential);
+    rec.Check(rows.size() == context.size(),
+              "influence-all-rows-mismatch entity=" + std::to_string(entity));
+    if (rows.size() != context.size()) continue;
+    for (size_t r = 0; r < context.size() && !rec.full(); ++r) {
+      const kb::EntityId e = context[r];
+      const auto& prod = rows[r];
+      const auto single = estimator.TopInfluential(
+          e, context, w.linker.top_k_influential);
+      bool same = single.size() == prod.size();
+      for (size_t j = 0; same && j < prod.size(); ++j) {
+        same = single[j].user == prod[j].user &&
+               single[j].influence == prod[j].influence;
       }
-      rec.Check(true, "");
+      rec.Check(same, "influence-all-vs-single-mismatch entity=" +
+                          std::to_string(e) + " context-head=" +
+                          std::to_string(entity));
+      const auto want = OracleTopInfluential(ckb, e, context,
+                                             w.linker.top_k_influential,
+                                             w.linker.influence_method);
+      rec.Check(prod.size() == want.size(),
+                "influence-size-mismatch entity=" + std::to_string(e) +
+                    " got " + std::to_string(prod.size()) + " oracle " +
+                    std::to_string(want.size()));
+      if (prod.size() != want.size()) continue;
+      for (size_t j = 0; j < prod.size(); ++j) {
+        // The production pipeline multiplies count * (1/total) where the
+        // oracle divides; near-equal users may swap positions, so a user
+        // mismatch is accepted when the two influence values are within
+        // tolerance.
+        if (!Near(prod[j].influence, want[j].influence, kOracleTol)) {
+          rec.Check(false,
+                    "influence-rank-mismatch entity=" + std::to_string(e) +
+                        " pos=" + std::to_string(j) + " got user=" +
+                        std::to_string(prod[j].user) + " inf=" +
+                        std::to_string(prod[j].influence) + " oracle user=" +
+                        std::to_string(want[j].user) + " inf=" +
+                        std::to_string(want[j].influence));
+          break;
+        }
+        rec.Check(true, "");
+      }
     }
   }
 }

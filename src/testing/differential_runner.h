@@ -59,7 +59,8 @@ struct DiffReport {
 ///  * recency — sliding-window counts against the linear-scan oracle,
 ///    and the propagator with cache on vs off vs the dense-matrix
 ///    power iteration;
-///  * influence — TopInfluential against the posting-list oracle;
+///  * influence — every TopInfluentialAll row against the posting-list
+///    oracle and, bit for bit, against the per-entity TopInfluential;
 ///  * the full Eq.-1 pipeline — one EntityLinker per backend
 ///    configuration (each with its own identically-complemented CKB and
 ///    the same interleaved ConfirmLink feedback) against

@@ -715,14 +715,22 @@ TEST(DifferentialConcurrency, LinkerAbsorbsFeedbackUnderSharedLock) {
     }
     done.store(true);
   });
+  // Readers are bounded AND yield after every read: glibc's shared_mutex
+  // prefers readers, so unbounded tight reader loops can starve the
+  // writer indefinitely. The cap guarantees termination either way.
+  constexpr uint32_t kMaxReadsPerReader = 20000;
   for (uint32_t t = 0; t < kReaders; ++t) {
     threads.emplace_back([&] {
+      uint32_t i = 0;
       do {
-        std::shared_lock lock(mu);
-        core::MentionLinkResult r = linker.LinkMention("xx", 2, kNow);
-        if (!r.linked() || r.best() != w.x) unlinked.fetch_add(1);
-        reads.fetch_add(1);
-      } while (!done.load());
+        {
+          std::shared_lock lock(mu);
+          core::MentionLinkResult r = linker.LinkMention("xx", 2, kNow);
+          if (!r.linked() || r.best() != w.x) unlinked.fetch_add(1);
+          reads.fetch_add(1);
+        }
+        std::this_thread::yield();
+      } while (++i < kMaxReadsPerReader && !done.load());
     });
   }
   for (auto& th : threads) th.join();

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "mel.h"
 
@@ -11,6 +14,8 @@
 #include "eval/weight_learner.h"
 #include "gen/workload.h"
 #include "social/influential_index.h"
+#include "util/metrics.h"
+#include "util/random.h"
 
 namespace mel {
 namespace {
@@ -86,6 +91,109 @@ TEST_F(ExtensionsFixture, PrecomputeAllFillsEverySurface) {
   EXPECT_GT(index.CachedEntries(), harness_->kb().surfaces().size());
 }
 
+uint64_t IndexMisses() {
+  return metrics::Registry()
+      .GetCounter("social.influential_index.misses_total")
+      ->Value();
+}
+
+TEST_F(ExtensionsFixture, PrecomputeAllRefillsOnlyInvalidatedSurfaces) {
+  kb::ComplementedKnowledgebase ckb = harness_->ckb();
+  const kb::Knowledgebase& kb = harness_->kb();
+  social::InfluentialUserIndex index(&ckb, social::InfluenceMethod::kEntropy,
+                                     5);
+  index.PrecomputeAll();
+
+  // A seeded burst of links, half of them older than the lists they join.
+  Rng rng(23);
+  const uint32_t users = harness_->reachability().num_nodes();
+  std::vector<bool> touched(kb.surfaces().size(), false);
+  for (kb::TweetId t = 0; t < 200; ++t) {
+    const auto sid = static_cast<uint32_t>(rng.Uniform(kb.surfaces().size()));
+    const auto candidates = kb.CandidatesBySurfaceId(sid);
+    const kb::EntityId e = candidates[rng.Uniform(candidates.size())].entity;
+    const auto time = static_cast<kb::Timestamp>(rng.Uniform(2)
+                                                     ? rng.Uniform(1000)
+                                                     : 1'000'000'000 + t);
+    ckb.AddLink(e, kb::Posting{50'000'000 + t,
+                               static_cast<kb::UserId>(rng.Uniform(users)),
+                               time});
+    index.Invalidate(e);
+    for (uint32_t s = 0; s < kb.surfaces().size(); ++s) {
+      for (const kb::Candidate& c : kb.CandidatesBySurfaceId(s)) {
+        if (c.entity == e) touched[s] = true;
+      }
+    }
+  }
+  const auto refills = static_cast<uint64_t>(
+      std::count(touched.begin(), touched.end(), true));
+
+  uint64_t before = IndexMisses();
+  index.PrecomputeAll();
+  EXPECT_EQ(IndexMisses() - before, refills);
+  before = IndexMisses();
+  index.PrecomputeAll();  // no writes since: nothing to refill
+  EXPECT_EQ(IndexMisses(), before);
+
+  social::InfluentialUserIndex fresh(&ckb, social::InfluenceMethod::kEntropy,
+                                     5);
+  for (uint32_t sid = 0; sid < kb.surfaces().size(); ++sid) {
+    for (const kb::Candidate& c : kb.CandidatesBySurfaceId(sid)) {
+      const auto& got = index.Get(sid, c.entity);
+      const auto& want = fresh.Get(sid, c.entity);
+      ASSERT_EQ(got.size(), want.size()) << "surface " << sid;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].user, want[i].user);
+        EXPECT_EQ(got[i].influence, want[i].influence);
+      }
+    }
+  }
+}
+
+TEST_F(ExtensionsFixture, WarmUpAfterFeedbackMatchesFreshLinker) {
+  kb::ComplementedKnowledgebase ckb = harness_->ckb();
+  const kb::Knowledgebase& kb = harness_->kb();
+  const core::LinkerOptions options = harness_->DefaultLinkerOptions();
+  core::EntityLinker linker(&kb, &ckb, &harness_->reachability(),
+                            &harness_->network(), options);
+  linker.WarmUp();
+  const uint64_t before_burst = IndexMisses();
+
+  Rng rng(29);
+  const uint32_t users = harness_->reachability().num_nodes();
+  for (kb::TweetId t = 0; t < 200; ++t) {
+    const auto sid = static_cast<uint32_t>(rng.Uniform(kb.surfaces().size()));
+    const auto candidates = kb.CandidatesBySurfaceId(sid);
+    kb::Tweet tweet;
+    tweet.id = 60'000'000 + t;
+    tweet.user = static_cast<kb::UserId>(rng.Uniform(users));
+    tweet.time = static_cast<kb::Timestamp>(rng.Uniform(1'000'000));
+    linker.ConfirmLink(candidates[rng.Uniform(candidates.size())].entity,
+                       tweet);
+  }
+  linker.WarmUp();
+  EXPECT_GT(IndexMisses(), before_burst);
+  const uint64_t before = IndexMisses();
+  linker.WarmUp();  // no writes since: nothing to refill
+  EXPECT_EQ(IndexMisses(), before);
+
+  core::EntityLinker fresh(&kb, &ckb, &harness_->reachability(),
+                           &harness_->network(), options);
+  fresh.WarmUp();
+  const kb::Timestamp now = 1'000'000;
+  for (uint32_t sid = 0; sid < kb.surfaces().size(); ++sid) {
+    const std::string& surface = kb.surfaces()[sid];
+    const auto user = static_cast<kb::UserId>(sid % users);
+    const core::MentionLinkResult got = linker.LinkMention(surface, user, now);
+    const core::MentionLinkResult want = fresh.LinkMention(surface, user, now);
+    ASSERT_EQ(got.ranked.size(), want.ranked.size()) << surface;
+    for (size_t i = 0; i < want.ranked.size(); ++i) {
+      EXPECT_EQ(got.ranked[i].entity, want.ranked[i].entity) << surface;
+      EXPECT_EQ(got.ranked[i].score, want.ranked[i].score) << surface;
+    }
+  }
+}
+
 // --------------------------------------------------- parallel linking
 
 TEST_F(ExtensionsFixture, ParallelMatchesSequential) {
@@ -124,6 +232,49 @@ TEST_F(ExtensionsFixture, ParallelMentionRequests) {
     auto direct = linker.LinkMention(requests[i].surface, requests[i].user,
                                      requests[i].time);
     EXPECT_EQ(results[i].best(), direct.best());
+  }
+}
+
+// Misspelled mentions take the fuzzy candidate path, which ranks the
+// candidates' communities online (TopInfluentialAll and its per-thread
+// scratch) on every reader thread; with the index off every mention does.
+TEST_F(ExtensionsFixture, ParallelFuzzyMentionsMatchSequential) {
+  const kb::Knowledgebase& kb = harness_->kb();
+  std::vector<core::MentionRequest> requests;
+  Rng rng(31);
+  size_t fuzzy = 0;
+  for (uint32_t ti : harness_->test_split().tweet_indices) {
+    const auto& lt = harness_->world().corpus.tweets[ti];
+    for (const auto& m : lt.mentions) {
+      std::string surface = m.surface;
+      surface[rng.Uniform(surface.size())] = '0';
+      if (kb.SurfaceId(surface) == kb::Knowledgebase::kInvalidSurface) {
+        ++fuzzy;
+      }
+      requests.push_back(
+          core::MentionRequest{surface, lt.tweet.user, lt.tweet.time});
+    }
+    if (requests.size() >= 200) break;
+  }
+  ASSERT_GT(fuzzy, 0u);
+  for (bool use_index : {true, false}) {
+    core::LinkerOptions options = harness_->DefaultLinkerOptions();
+    options.use_influential_index = use_index;
+    auto linker = harness_->MakeLinker(options);
+    auto results = core::LinkMentionsParallel(&linker, requests, 4);
+    ASSERT_EQ(results.size(), requests.size());
+    size_t linked = 0;
+    for (size_t i = 0; i < results.size(); ++i) {
+      auto direct = linker.LinkMention(requests[i].surface, requests[i].user,
+                                       requests[i].time);
+      ASSERT_EQ(results[i].ranked.size(), direct.ranked.size());
+      for (size_t j = 0; j < direct.ranked.size(); ++j) {
+        EXPECT_EQ(results[i].ranked[j].entity, direct.ranked[j].entity);
+        EXPECT_EQ(results[i].ranked[j].score, direct.ranked[j].score);
+      }
+      if (direct.linked()) ++linked;
+    }
+    EXPECT_GT(linked, 0u);
   }
 }
 

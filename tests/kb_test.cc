@@ -211,6 +211,46 @@ TEST_F(KbFixture, OutOfOrderInsertsAreResorted) {
   EXPECT_EQ(ckb.RecentTweetCount(player_, 350, 300), 2u);  // 100, 300
 }
 
+// EnsureAllSorted merges a stably sorted tail behind the sorted prefix;
+// the order, ties included, must equal a whole-list stable_sort of the
+// insertion sequence, whether lists are sorted at a barrier or lazily.
+TEST_F(KbFixture, DirtyTailMergeMatchesWholeListStableSort) {
+  ComplementedKnowledgebase ckb(&kb_);
+  const EntityId entities[] = {player_, nba_, shoe_};
+  std::vector<Posting> inserted[3];
+  uint64_t state = 12345;
+  auto next = [&state](uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  for (TweetId t = 0; t < 3000; ++t) {
+    const size_t i = next(3);
+    // Few distinct times, so ties are common; a slow upward drift keeps
+    // some appends in order.
+    const Posting p{t, static_cast<UserId>(next(5)),
+                    static_cast<Timestamp>(t / 50 + next(8))};
+    ckb.AddLink(entities[i], p);
+    inserted[i].push_back(p);
+    if (next(97) == 0) ckb.EnsureAllSorted();
+    if (next(211) == 0) (void)ckb.Postings(entities[next(3)]);
+    if (t % 500 != 499) continue;
+    ckb.EnsureAllSorted();
+    for (size_t k = 0; k < 3; ++k) {
+      std::vector<Posting> want = inserted[k];
+      std::stable_sort(want.begin(), want.end(),
+                       [](const Posting& a, const Posting& b) {
+                         return a.time < b.time;
+                       });
+      const auto got = ckb.Postings(entities[k]);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t j = 0; j < want.size(); ++j) {
+        ASSERT_EQ(got[j].tweet, want[j].tweet) << "entity " << k << " pos "
+                                               << j << " after " << t;
+      }
+    }
+  }
+}
+
 TEST_F(KbFixture, ComplementedKbVersionBumpsOnEveryAddLink) {
   ComplementedKnowledgebase ckb(&kb_);
   const uint64_t v0 = ckb.version();

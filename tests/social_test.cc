@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "graph/graph_builder.h"
 #include "kb/complemented_kb.h"
@@ -8,6 +10,7 @@
 #include "reach/naive_reachability.h"
 #include "social/influence.h"
 #include "social/user_interest.h"
+#include "util/random.h"
 
 namespace mel::social {
 namespace {
@@ -130,6 +133,74 @@ TEST_F(SocialFixture, TopInfluentialEmptyCommunity) {
   kb::ComplementedKnowledgebase ckb2(&kb2);
   InfluenceEstimator inf2(&ckb2, InfluenceMethod::kEntropy);
   EXPECT_TRUE(inf2.TopInfluential(lonely, {{lonely}}, 3).empty());
+}
+
+// Every TopInfluentialAll row equals the per-entity TopInfluential call,
+// bit for bit: same users in the same order, identical influence doubles.
+void ExpectRowsMatch(const InfluenceEstimator& inf,
+                     const std::vector<kb::EntityId>& candidates,
+                     uint32_t top_k) {
+  const auto rows = inf.TopInfluentialAll(candidates, top_k);
+  ASSERT_EQ(rows.size(), candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const auto want = inf.TopInfluential(candidates[i], candidates, top_k);
+    ASSERT_EQ(rows[i].size(), want.size()) << "row " << i << " k " << top_k;
+    for (size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(rows[i][j].user, want[j].user) << "row " << i << " pos " << j;
+      EXPECT_EQ(rows[i][j].influence, want[j].influence)
+          << "row " << i << " pos " << j;
+    }
+  }
+}
+
+TEST_F(SocialFixture, TopInfluentialAllMatchesPerEntityCalls) {
+  // User 2 is shared by the player and expert communities.
+  for (InfluenceMethod method :
+       {InfluenceMethod::kTfIdf, InfluenceMethod::kEntropy}) {
+    InfluenceEstimator inf(ckb_.get(), method);
+    for (uint32_t top_k : {0u, 1u, 5u, 10u}) {
+      ExpectRowsMatch(inf, candidates_, top_k);
+    }
+    ExpectRowsMatch(inf, {expert_, player_}, 1);
+    ExpectRowsMatch(inf, {shoe_}, 0);
+  }
+  InfluenceEstimator inf(ckb_.get(), InfluenceMethod::kTfIdf);
+  EXPECT_TRUE(inf.TopInfluentialAll({}, 5).empty());
+  auto top1 = inf.TopInfluentialAll(candidates_, 1);
+  ASSERT_EQ(top1[0].size(), 1u);
+  EXPECT_EQ(top1[0][0].user, 1u);  // @NBAOfficial dominates the player
+}
+
+TEST(TopInfluentialAllTest, RandomCommunitiesMatchBitExact) {
+  // Eight entities; entity 7 stays without links (empty community). A
+  // small user pool with sparse, large ids makes most users shared by
+  // several communities.
+  kb::Knowledgebase kb;
+  std::vector<kb::EntityId> entities;
+  for (int e = 0; e < 8; ++e) {
+    entities.push_back(kb.AddEntity("e" + std::to_string(e),
+                                    kb::EntityCategory::kPerson, {}));
+  }
+  kb.Finalize();
+  kb::ComplementedKnowledgebase ckb(&kb);
+  Rng rng(17);
+  for (kb::TweetId t = 0; t < 600; ++t) {
+    const auto e = static_cast<kb::EntityId>(rng.Uniform(7));
+    const auto u = static_cast<kb::UserId>(rng.Uniform(25) * 211);
+    ckb.AddLink(e, kb::Posting{t, u, static_cast<kb::Timestamp>(t)});
+  }
+  ASSERT_TRUE(ckb.Community(entities[7]).empty());
+
+  for (InfluenceMethod method :
+       {InfluenceMethod::kTfIdf, InfluenceMethod::kEntropy}) {
+    InfluenceEstimator inf(&ckb, method);
+    for (uint32_t top_k : {0u, 1u, 5u, 100u}) {
+      ExpectRowsMatch(inf, entities, top_k);
+      ExpectRowsMatch(inf, {entities[7], entities[2], entities[5]}, top_k);
+      // A repeated candidate counts twice in E_m, as in TopInfluential.
+      ExpectRowsMatch(inf, {entities[3], entities[1], entities[3]}, top_k);
+    }
+  }
 }
 
 // ------------------------------------------------------- user interest
